@@ -303,7 +303,7 @@ def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out
         if xs is not None:
             doc["samples"] = {
                 "x": [float(v) for v in xs],
-                "psi": [[float(wavefunction.eval_psi(f, x)) for x in xs] for f in funcs],
+                "psi": [wavefunction.eval_psi(f, xs).tolist() for f in funcs],
             }
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -311,8 +311,9 @@ def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out
         w = csv.writer(buf, lineterminator="\n")
         if xs is not None:
             w.writerow(["x"] + [f"psi_m{st.label}" for st in spec.states])
-            for x in xs:
-                w.writerow([repr(float(x))] + [repr(float(wavefunction.eval_psi(f, x))) for f in funcs])
+            psi = [wavefunction.eval_psi(f, xs).tolist() for f in funcs]
+            for x, row in zip(xs.tolist(), zip(*psi)):
+                w.writerow([repr(x)] + [repr(v) for v in row])
         else:
             w.writerow(
                 ["m", "parity", "energy", "nodes", "norm"] + [f"A{i}" for i in range(n_cap + 1)]

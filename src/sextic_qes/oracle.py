@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConstraintViolationError, VerificationError
 from .params import CouplingParams, constraint_gamma, reduce
@@ -66,8 +65,8 @@ class OracleReport:
         return max((m.abs_error for m in self.matches), default=0.0)
 
 
-def potential_value(p: CouplingParams, x: float) -> float:
-    """V(x) = w2 x^2/2 + lam x^4/4 + eta x^6/6."""
+def potential_value(p: CouplingParams, x: float | np.ndarray) -> float | np.ndarray:
+    """V(x) = w2 x^2/2 + lam x^4/4 + eta x^6/6, for a float or an array of x."""
     x2 = x * x
     return 0.5 * p.omega_sq * x2 + 0.25 * p.lam * x2 * x2 + p.eta * x2 * x2 * x2 / 6.0
 
@@ -90,9 +89,12 @@ def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpe
 
 def _half_line_eigs(p: CouplingParams, parity: int, half_width: float, m_intervals: int, k: int) -> np.ndarray:
     """Lowest k eigenvalues E of the half-line discretization for one parity."""
+    # the only scipy use in the package: LAPACK's selected-eigenvalue solver
+    from scipy.linalg import eigh_tridiagonal
+
     h = half_width / m_intervals
     xs = np.arange(m_intervals) * h
-    v2 = 2.0 * np.array([potential_value(p, x) for x in xs])  # operator eigenvalue is 2E
+    v2 = 2.0 * potential_value(p, xs)  # operator eigenvalue is 2E
     if parity == 0:
         # Neumann at 0 via mirror ghost point; symmetrized with psi_0 /= sqrt(2)
         diag = 2.0 / h**2 + v2

@@ -99,8 +99,8 @@ def solve_constraint(
     """Solve the coupling constraint for the one unspecified coupling.
 
     Exactly one of omega_sq, lam, eta must be None.  Returns all admissible
-    solutions (one for omega2, up to two for lam, any number of positive
-    roots for eta), sorted by the solved value.
+    solutions (one for omega2, up to two for lam, at most one for eta),
+    sorted by the solved value.
     """
     unknowns = [name for name, v in (("omega_sq", omega_sq), ("lam", lam), ("eta", eta)) if v is None]
     if len(unknowns) != 1:
@@ -130,33 +130,27 @@ def solve_constraint(
 
 
 def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
-    """Bracket and bisect the constraint as a scalar equation in eta > 0."""
+    """The constraint as a cubic in u = eta^(-1/2) > 0, solved in closed form.
 
-    def f(eta: float) -> float:
-        return math.sqrt(3.0 / eta) * (3.0 * lam**2 / (16.0 * eta) - omega_sq) - g
+    sqrt(3/eta) (3 lam^2/(16 eta) - omega2) = g becomes
+    (3 sqrt(3) lam^2/16) u^3 - sqrt(3) omega2 u - g = 0.  With g > 0 and
+    lam != 0, Descartes' rule leaves exactly one positive root; with lam = 0
+    the equation is linear and has the root u = -g/(sqrt(3) omega2) only when
+    omega2 < 0, i.e. eta = 3 omega2^2 / g^2.
+    """
+    from .qes_core import _cubic_real_roots  # deferred: qes_core imports this module
 
-    # log-spaced scan for sign changes; robustness over speed for a scalar solve
-    import numpy as np
-
-    grid = np.logspace(-12, 12, 2001)
-    vals = np.array([f(e) for e in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f(lo) * f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
+    k = 3.0 * math.sqrt(3.0) * lam**2 / 16.0
+    if k == 0.0:  # lam = 0, or lam^2 below the double range
+        eta = 3.0 * omega_sq**2 / g**2 if omega_sq < 0.0 else math.nan
+    else:
+        w = math.sqrt(3.0) * omega_sq
+        u = max(_cubic_real_roots(0.0, -w / k, -g / k))
+        if u > 0.0:  # one Newton polish against cancellation in Cardano's u + v
+            u -= ((k * u * u - w) * u - g) / (3.0 * k * u * u - w)
+        eta = 1.0 / (u * u) if u > 0.0 else math.nan
+    if not 0.0 < eta < math.inf:
         raise NoSolutionError(
             f"no eta > 0 satisfies the constraint for omega2={omega_sq}, lam={lam}, gamma={g}"
         )
-    return [CouplingParams(omega_sq, lam, e) for e in sorted(roots)]
+    return [CouplingParams(omega_sq, lam, eta)]

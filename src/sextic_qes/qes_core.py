@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonEigenvalueError, SolverError
 from .params import QesIndex, ReducedParams
@@ -94,8 +93,10 @@ def eigenvalues(m: RecurrenceMatrix) -> np.ndarray:
     """
     if m.dim == 1:
         return m.diag.copy()
-    off = -np.sqrt(m.superdiag * m.subdiag)
-    return eigh_tridiagonal(m.diag, off, eigvals_only=True)
+    t = np.diag(m.diag)
+    i = np.arange(m.dim - 1)
+    t[i + 1, i] = -np.sqrt(m.superdiag * m.subdiag)  # eigvalsh reads the lower triangle
+    return np.linalg.eigvalsh(t)
 
 
 def coefficients_from_energy(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .errors import WeightMismatchError
 from .params import ReducedParams
@@ -133,15 +132,15 @@ def count_positive_roots(coeffs: np.ndarray) -> int:
     return _variations_at(chain, 0.0) - _variations_at_inf(chain)
 
 
-def _positive_roots(coeffs: np.ndarray) -> list[float]:
-    """Isolate and bisect the positive real roots of the t-polynomial."""
+def _positive_roots(coeffs: np.ndarray, t_max: float) -> list[float]:
+    """Isolate and bisect the real roots of the t-polynomial on (0, t_max]."""
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     total = count_positive_roots(coeffs)
-    if total == 0:
+    if total == 0 or t_max <= 0.0:
         return []
     chain = _sturm_chain(coeffs)
     # Cauchy bound on root magnitudes
-    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1])
+    bound = min(t_max, 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1]))
 
     def nroots(lo: float, hi: float) -> int:
         return _variations_at(chain, lo) - _variations_at(chain, hi)
@@ -175,16 +174,31 @@ def _positive_roots(coeffs: np.ndarray) -> list[float]:
     return sorted(roots)
 
 
+def _outer_turning_t(f: Eigenfunction) -> float:
+    """t = x^2 of the outer turning point, beyond which V2(x) > 2E.
+
+    psi has no zero beyond it: there psi''/psi = V2 - 2E > 0, so a psi that
+    decays at infinity cannot turn back through zero.  Roots of the polynomial
+    factor out there come from rounding in the small trailing coefficients.
+    """
+    r = f.reduced
+    roots = np.roots([r.eta / 3.0, 0.5 * r.lam, r.omega_sq(), -2.0 * f.state.energy])
+    # a cubic has a real root; a near-double one may come back with a tiny imaginary part
+    return float(max(z.real for z in roots if abs(z.imag) <= 1e-6 * max(1.0, abs(z))))
+
+
 def count_nodes(f: Eigenfunction) -> NodeReport:
-    """Nodes of psi on the whole line: 2 per positive t-root, plus x=0 if odd."""
+    """Nodes of psi on the whole line: 2 per t-root up to the outer turning point, plus x=0 if odd."""
     eps = f.state.parity
-    t_roots = _positive_roots(f.state.coeffs)
+    t_roots = _positive_roots(f.state.coeffs, _outer_turning_t(f))
     locations = [0.0] * eps + [math.sqrt(t) for t in t_roots]
     return NodeReport(count=2 * len(t_roots) + eps, locations=locations)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
+
+_QUAD_NODES = 2001  # trapezoid nodes on the half line [0, cutoff]
 
 
 def integration_cutoff(r: ReducedParams) -> float:
@@ -198,7 +212,12 @@ def integration_cutoff(r: ReducedParams) -> float:
 
 
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
-    """L2 inner product of f and g over the real line (norm^2 when f is g)."""
+    """L2 inner product of f and g over the real line (norm^2 when f is g).
+
+    The integrand is smooth, even and decays like exp(-b x^4/2), so the
+    trapezoid rule on fixed nodes over [0, cutoff] converges exponentially
+    (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling it covers the line.
+    """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
         raise WeightMismatchError(
@@ -206,16 +225,9 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         )
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    cut = integration_cutoff(rf)
-    val, _ = quad(
-        lambda x: float(eval_psi(f, x) * eval_psi(g, x)),
-        -cut,
-        cut,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=300,
-    )
-    return val
+    xs, h = np.linspace(0.0, integration_cutoff(rf), _QUAD_NODES, retstep=True)
+    y = eval_psi(f, xs) * eval_psi(g, xs)
+    return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
 def normalized(f: Eigenfunction) -> Eigenfunction:

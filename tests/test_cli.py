@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sextic_qes
+from sextic_qes import Eigenfunction, QesIndex, eval_psi, reduce, solve_constraint, spectrum
 from sextic_qes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,6 +116,15 @@ def test_constraint_command_trivial(runner):
     assert "omega2=-3" in result.stdout
 
 
+def test_constraint_command_tiny_eta(runner):
+    # lam = 0 and omega2 < 0: eta = 3 omega2^2 / gamma^2, far below any scan range
+    result = runner.invoke(
+        main, ["constraint", "--omega2", "-1e-20", "--lambda", "0", "--N", "0"]
+    )
+    assert result.exit_code == 0
+    assert "eta=3.333333333e-41" in result.stdout
+
+
 def test_constraint_command_needs_two(runner):
     result = runner.invoke(main, ["constraint", "--lambda", "0.5", "--N", "2"])
     assert result.exit_code == 2
@@ -151,6 +166,29 @@ def test_export_csv_sample_grid(runner, tmp_path):
     mid = rows[1 + 600]
     assert float(mid[0]) == pytest.approx(0.0, abs=1e-12)
     assert float(mid[1]) == pytest.approx(1.0)  # psi(0) = 1 before normalization
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_samples_equal_pointwise_eval(runner, tmp_path, fmt):
+    # the whole-grid evaluation gives the bits of one eval_psi call per point
+    out = tmp_path / f"samples.{fmt}"
+    args = ["--lambda", "-0.6", "--eta", "0.05", "--N", "3", "--parity", "odd"]
+    result = runner.invoke(
+        main, ["export", *args, "--format", fmt, "--samples", "-6:6:0.01", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    p = solve_constraint(QesIndex(3, 1), lam=-0.6, eta=0.05)[0]
+    spec = spectrum(reduce(p), QesIndex(3, 1))
+    xs = -6.0 + 0.01 * np.arange(1201)
+    expect = [
+        [float(eval_psi(Eigenfunction(state=st, reduced=spec.reduced), x)) for x in xs]
+        for st in spec.states
+    ]
+    if fmt == "json":
+        assert json.loads(out.read_text())["samples"]["psi"] == expect
+    else:
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [[float(v) for v in col] for col in list(zip(*rows))[1:]] == expect
 
 
 def test_export_empty_sample_grid(runner, tmp_path):
@@ -236,3 +274,32 @@ def test_scan_two_axes_deterministic(runner):
     assert r1.exit_code == 0
     assert r1.stdout == r2.stdout
     assert len(r1.stdout.splitlines()) == 10  # header + 3x3 grid
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a cold start pays for numpy and click only; scipy loads with verify alone
+    code = f"""
+import sys
+import sextic_qes
+from sextic_qes.cli import main
+
+block = ["--lambda", "0.5", "--eta", "0.03", "--N", "3"]
+main(["table", *block], standalone_mode=False)
+main(["spectrum", *block, "--format", "json"], standalone_mode=False)
+main(["constraint", *block], standalone_mode=False)
+main(["export", *block, "--format", "csv", "--samples", "-6:6:0.01",
+      "--out", {str(tmp_path / "samples.csv")!r}], standalone_mode=False)
+main(["scan", "--scan", "lambda=0.1:1.0:0.1", "--eta", "0.03", "--N", "1"], standalone_mode=False)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+main(["verify", *block, "--grid-points", "4001"], standalone_mode=False)
+assert "scipy.linalg" in sys.modules
+"""
+    src_dir = str(Path(sextic_qes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert "4/4 matched" in result.stdout

@@ -102,9 +102,32 @@ def test_round_trip_all_unknowns(rng):
 
 
 def test_solve_eta_no_solution():
-    # lam = 0 and omega2 > 0 makes gamma negative for every eta > 0
-    with pytest.raises(NoSolutionError):
-        solve_constraint(QesIndex(1, 0), omega_sq=2.0, lam=0.0)
+    # lam = 0 and omega2 >= 0 makes gamma <= 0 for every eta > 0
+    for omega_sq in (2.0, 0.0):
+        with pytest.raises(NoSolutionError):
+            solve_constraint(QesIndex(1, 0), omega_sq=omega_sq, lam=0.0)
+
+
+@pytest.mark.parametrize("omega_sq", [-2.0, -1e-20])
+def test_solve_eta_lambda_zero(omega_sq):
+    # lam = 0 leaves sqrt(3/eta) * (-omega2) = gamma: eta = 3 omega2^2 / gamma^2
+    idx = QesIndex(2, 1)
+    (p,) = solve_constraint(idx, omega_sq=omega_sq, lam=0.0)
+    assert p.eta == pytest.approx(3.0 * omega_sq**2 / 13.0**2, rel=1e-15)
+    assert reduce(p).gamma == pytest.approx(13.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("eta", [1e-30, 1e-3, 1e6])
+@pytest.mark.parametrize("scale", [-1.3, 0.4, 2.5])
+def test_solve_eta_round_trip_extreme(eta, scale):
+    # lam ~ eta^(3/4) keeps 3 lam^2/(16 eta) and gamma sqrt(eta/3) comparable,
+    # so omega2 carries every digit of eta
+    idx = QesIndex(4, 1)
+    lam = scale * eta**0.75
+    p = solve_constraint(idx, lam=lam, eta=eta)[0]
+    (q,) = solve_constraint(idx, omega_sq=p.omega_sq, lam=lam)
+    assert q.eta == pytest.approx(eta, rel=1e-12)
+    assert reduce(q).gamma == pytest.approx(constraint_gamma(idx), rel=1e-12)
 
 
 def test_solve_requires_exactly_one_unknown():

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from sextic_qes import (
+    CouplingParams,
     Eigenfunction,
     QesIndex,
     ReducedParams,
@@ -15,6 +16,8 @@ from sextic_qes import (
     norm_and_inner,
     normalized,
     ode_residual,
+    reduce,
+    spectrum,
     spectrum_closed_form,
     spectrum_general,
 )
@@ -191,6 +194,16 @@ def test_node_ordering_law(rng):
                 assert counts == [2 * m + eps for m in range(n + 1)]
 
 
+def test_nodes_ignore_rounding_roots_beyond_turning_point():
+    # m=1's trailing coefficient A_9 ~ 1e-16 comes out with the wrong sign and
+    # adds a polynomial root at t ~ 758, far beyond the turning point (t < 1)
+    p = CouplingParams(46.67691216798381, 1.421875, 0.007773650302387758)
+    idx = QesIndex(9, 1)
+    s = spectrum(reduce(p), idx)
+    counts = [count_nodes(Eigenfunction(state=st, reduced=s.reduced)).count for st in s.states]
+    assert counts == [2 * m + 1 for m in range(10)]
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -218,6 +231,37 @@ def test_pure_quartic_weight_norm_gamma_form():
     # and against an independent quadrature of the bare integrand
     check, _ = quad(lambda x: math.exp(-0.5 * b * x**4), -np.inf, np.inf)
     assert norm_and_inner(f, f) == pytest.approx(check, rel=1e-9)
+
+
+def _ode_certificate(f, xs):
+    """max|psi'' + (2E - V2) psi| relative to max(|psi''| + |(2E - V2) psi|)."""
+    r = f.reduced
+    x2 = xs * xs
+    v2 = r.omega_sq() * x2 + 0.5 * r.lam * x2 * x2 + r.eta * x2**3 / 3.0
+    kin = (2.0 * f.state.energy - v2) * eval_psi(f, xs)
+    d2 = psi_second_derivative(f, xs)
+    return np.max(np.abs(d2 + kin)) / np.max(np.abs(d2) + np.abs(kin))
+
+
+@pytest.mark.parametrize("a, b", [(1.25, 0.1), (-1.5, 0.3)])
+def test_trapezoid_norm_matches_adaptive_quadrature(a, b):
+    # every state whose ODE residual certifies it (rel <= 1e-9); the states
+    # left out are limited by monomial cancellation, not by the quadrature
+    checked = 0
+    for n in range(13):
+        for eps in (0, 1):
+            funcs, s = eigenfunctions(a, b, n, eps)
+            cut = integration_cutoff(s.reduced)
+            for f in funcs:
+                if _ode_certificate(f, np.linspace(0.0, cut, 1001)) > 1e-9:
+                    continue
+                half, _ = quad(
+                    lambda x: float(eval_psi(f, x)) ** 2, 0.0, 2.0 * cut,
+                    epsabs=0.0, epsrel=1e-13, limit=500,
+                )
+                assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
+                checked += 1
+    assert checked >= 170  # of 182 states
 
 
 def test_orthogonality_within_spectrum(rng):
