@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
+
+import numpy as np
 
 from .errors import InvalidCouplingError, NoSolutionError
 
@@ -129,28 +132,78 @@ def solve_constraint(
     return _solve_eta(omega_sq, lam, g)
 
 
+# eta is settled by bisection from its cell of this log grid (see _bisect_on_grid)
+_ETA_GRID = np.logspace(-12, 12, 2001)
+
+
 def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
-    """The constraint as a cubic in u = eta^(-1/2) > 0, solved in closed form.
+    """The constraint as a cubic in u = eta^(-1/2) > 0, solved by Newton's method.
 
     sqrt(3/eta) (3 lam^2/(16 eta) - omega2) = g becomes
-    (3 sqrt(3) lam^2/16) u^3 - sqrt(3) omega2 u - g = 0.  With g > 0 and
-    lam != 0, Descartes' rule leaves exactly one positive root; with lam = 0
-    the equation is linear and has the root u = -g/(sqrt(3) omega2) only when
-    omega2 < 0, i.e. eta = 3 omega2^2 / g^2.
+    F(u) = k u^3 - w u - g = 0 with k = 3 sqrt(3) lam^2/16 and w = sqrt(3) omega2.
+    With g > 0 and lam != 0, Descartes' rule leaves exactly one positive root.
+    F is convex on u > 0 and F(0) = -g < 0, so Newton's method started where
+    F > 0 decreases monotonically onto that root.  The start is within a
+    factor 2 of it, and k u^3 is formed as c (|lam| u)^2 u, so no step
+    cancels or overflows however small lam is (Cardano's formula loses every
+    digit as lam -> 0 with omega2 < 0).  With lam = 0 the equation is linear:
+    u = -g/w, i.e. eta = 3 omega2^2 / g^2, and only when omega2 < 0.
+    Inside [1e-12, 1e12] the root is then settled by _bisect_on_grid.
     """
-    from .qes_core import _cubic_real_roots  # deferred: qes_core imports this module
-
-    k = 3.0 * math.sqrt(3.0) * lam**2 / 16.0
-    if k == 0.0:  # lam = 0, or lam^2 below the double range
-        eta = 3.0 * omega_sq**2 / g**2 if omega_sq < 0.0 else math.nan
+    c = 3.0 * math.sqrt(3.0) / 16.0
+    r = abs(lam)
+    w = math.sqrt(3.0) * omega_sq
+    if r == 0.0:
+        u = -g / w if omega_sq < 0.0 else math.nan
     else:
-        w = math.sqrt(3.0) * omega_sq
-        u = max(_cubic_real_roots(0.0, -w / k, -g / k))
-        if u > 0.0:  # one Newton polish against cancellation in Cardano's u + v
-            u -= ((k * u * u - w) * u - g) / (3.0 * k * u * u - w)
-        eta = 1.0 / (u * u) if u > 0.0 else math.nan
+        # an upper bound on the root: k u^3 + |w| u = g, or k u^3 = w u + g <= 2 max(w u, g)
+        u_cubic = (g / c) ** (1.0 / 3.0) / r ** (2.0 / 3.0)
+        if w < 0.0:
+            u = min(u_cubic, -g / w)
+        else:
+            u = max(2.0 ** (1.0 / 3.0) * u_cubic, math.sqrt(2.0 * w / c) / r)
+        for _ in range(100):
+            ru = r * u
+            step = (c * ru * ru * u - w * u - g) / (3.0 * c * ru * ru - w)
+            if not step > 0.0 or u - step == u:
+                break
+            u -= step
+    eta = 1.0 / (u * u) if u * u > 0.0 else math.inf
     if not 0.0 < eta < math.inf:
         raise NoSolutionError(
             f"no eta > 0 satisfies the constraint for omega2={omega_sq}, lam={lam}, gamma={g}"
         )
+    if _ETA_GRID[0] <= eta <= _ETA_GRID[-1]:
+        eta = _bisect_on_grid(omega_sq, lam, g, eta)
     return [CouplingParams(omega_sq, lam, eta)]
+
+
+def _bisect_on_grid(omega_sq: float, lam: float, g: float, eta: float) -> float:
+    """The root that bisecting the constraint from its _ETA_GRID bracket gives.
+
+    Near the root the constraint evaluates to rounding noise a few ulp of eta
+    wide, so each solver lands on a different float there.  The spectra's
+    rounding-level certificates (ODE residuals, nodes set by tiny trailing
+    coefficients) move with those ulps, so this keeps the bits the former
+    scan-and-bisect solver returned: the same bracket, then the same steps.
+    """
+
+    def f(e: float) -> float:  # > 0 below the root, < 0 above it
+        return math.sqrt(3.0 / e) * (3.0 * lam**2 / (16.0 * e) - omega_sq) - g
+
+    i = int(np.searchsorted(_ETA_GRID, eta))
+    grid = [float(e) for e in _ETA_GRID[max(i - 2, 0) : i + 2]]
+    vals = [f(e) for e in grid]
+    for (lo, hi), (f_lo, f_hi) in zip(pairwise(grid), pairwise(vals)):
+        if f_lo == 0.0:
+            return lo
+        if f_lo * f_hi < 0.0:
+            # stops once lo and hi are adjacent floats, after which more steps change nothing
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                f_mid = f(mid)
+                if f_lo * f_mid <= 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            return 0.5 * (lo + hi)
+    return grid[-1] if vals[-1] == 0.0 else eta

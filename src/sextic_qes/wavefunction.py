@@ -132,15 +132,15 @@ def count_positive_roots(coeffs: np.ndarray) -> int:
     return _variations_at(chain, 0.0) - _variations_at_inf(chain)
 
 
-def _positive_roots(coeffs: np.ndarray, t_max: float) -> list[float]:
-    """Isolate and bisect the real roots of the t-polynomial on (0, t_max]."""
+def _positive_roots(coeffs: np.ndarray) -> list[float]:
+    """Isolate and bisect the positive real roots of the t-polynomial."""
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     total = count_positive_roots(coeffs)
-    if total == 0 or t_max <= 0.0:
+    if total == 0:
         return []
     chain = _sturm_chain(coeffs)
     # Cauchy bound on root magnitudes
-    bound = min(t_max, 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1]))
+    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1])
 
     def nroots(lo: float, hi: float) -> int:
         return _variations_at(chain, lo) - _variations_at(chain, hi)
@@ -174,23 +174,10 @@ def _positive_roots(coeffs: np.ndarray, t_max: float) -> list[float]:
     return sorted(roots)
 
 
-def _outer_turning_t(f: Eigenfunction) -> float:
-    """t = x^2 of the outer turning point, beyond which V2(x) > 2E.
-
-    psi has no zero beyond it: there psi''/psi = V2 - 2E > 0, so a psi that
-    decays at infinity cannot turn back through zero.  Roots of the polynomial
-    factor out there come from rounding in the small trailing coefficients.
-    """
-    r = f.reduced
-    roots = np.roots([r.eta / 3.0, 0.5 * r.lam, r.omega_sq(), -2.0 * f.state.energy])
-    # a cubic has a real root; a near-double one may come back with a tiny imaginary part
-    return float(max(z.real for z in roots if abs(z.imag) <= 1e-6 * max(1.0, abs(z))))
-
-
 def count_nodes(f: Eigenfunction) -> NodeReport:
-    """Nodes of psi on the whole line: 2 per t-root up to the outer turning point, plus x=0 if odd."""
+    """Nodes of psi on the whole line: 2 per positive t-root, plus x=0 if odd."""
     eps = f.state.parity
-    t_roots = _positive_roots(f.state.coeffs, _outer_turning_t(f))
+    t_roots = _positive_roots(f.state.coeffs)
     locations = [0.0] * eps + [math.sqrt(t) for t in t_roots]
     return NodeReport(count=2 * len(t_roots) + eps, locations=locations)
 
@@ -198,7 +185,8 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
 # ---------------------------------------------------------------------------
 # quadrature
 
-_QUAD_NODES = 2001  # trapezoid nodes on the half line [0, cutoff]
+_QUAD_NODES = 2001  # trapezoid nodes on the half line
+_EXP_UNDERFLOW = 746.0  # exp(-746) is 0.0 in double precision
 
 
 def integration_cutoff(r: ReducedParams) -> float:
@@ -211,12 +199,26 @@ def integration_cutoff(r: ReducedParams) -> float:
     return max(6.0, math.sqrt(s))
 
 
+def _underflow_width(r: ReducedParams) -> float:
+    """Half-width beyond which the weight exp(-a x^2/2 - b x^4/4) is 0.0."""
+    d = math.sqrt(0.25 * r.a * r.a + _EXP_UNDERFLOW * r.b)
+    # the root of b t^2/4 + a t/2 = 746 in t = x^2, in the form that does not cancel
+    t = 2.0 * _EXP_UNDERFLOW / (0.5 * r.a + d) if r.a >= 0.0 else (d - 0.5 * r.a) / (0.5 * r.b)
+    return math.sqrt(t)
+
+
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     """L2 inner product of f and g over the real line (norm^2 when f is g).
 
     The integrand is smooth, even and decays like exp(-b x^4/2), so the
     trapezoid rule on fixed nodes over [0, cutoff] converges exponentially
     (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling it covers the line.
+    The nodes stop where the weight underflows, since psi is exactly 0.0
+    beyond: for a narrow weight (large a or b) the floor of 6 on the cutoff
+    would otherwise leave the peak between nodes.  Then every width of the
+    weight, 1/sqrt(|a| + 3 b x_peak^2) or b^(-1/4) if smaller, holds at least
+    50 steps when a >= 0, and at least 16 when a < 0 wherever psi^2 is finite
+    (it peaks near exp(a^2/(2b)), which overflows beyond a^2 = 1418 b).
     """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
@@ -225,7 +227,8 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         )
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    xs, h = np.linspace(0.0, integration_cutoff(rf), _QUAD_NODES, retstep=True)
+    half = min(integration_cutoff(rf), _underflow_width(rf))
+    xs, h = np.linspace(0.0, half, _QUAD_NODES, retstep=True)
     y = eval_psi(f, xs) * eval_psi(g, xs)
     return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 

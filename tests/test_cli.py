@@ -125,6 +125,14 @@ def test_constraint_command_tiny_eta(runner):
     assert "eta=3.333333333e-41" in result.stdout
 
 
+@pytest.mark.parametrize("lam", ["1e-20", "1e-60"])
+def test_constraint_command_tiny_lambda(runner, lam):
+    # omega2 < 0 and lam -> 0: eta tends to the lam = 0 value 3 omega2^2 / gamma^2
+    result = runner.invoke(main, ["constraint", "--omega2", "-1", "--lambda", lam, "--N", "0"])
+    assert result.exit_code == 0
+    assert "eta=0.3333333333" in result.stdout
+
+
 def test_constraint_command_needs_two(runner):
     result = runner.invoke(main, ["constraint", "--lambda", "0.5", "--N", "2"])
     assert result.exit_code == 2

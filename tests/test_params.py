@@ -117,6 +117,51 @@ def test_solve_eta_lambda_zero(omega_sq):
     assert reduce(p).gamma == pytest.approx(13.0, rel=1e-14)
 
 
+def _scan_and_bisect_eta(omega_sq, lam, g):
+    """The former eta solver: sign changes on a log grid, 200 bisection steps each."""
+
+    def f(eta):
+        return math.sqrt(3.0 / eta) * (3.0 * lam**2 / (16.0 * eta) - omega_sq) - g
+
+    grid = np.logspace(-12, 12, 2001)
+    vals = [f(e) for e in grid]
+    roots = [float(e) for e, v in zip(grid, vals) if v == 0.0]
+    for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:]):
+        if v0 * v1 < 0:
+            lo, hi = float(lo), float(hi)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(lo) * f(mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(0.5 * (lo + hi))
+    return sorted(roots)
+
+
+def test_solve_eta_keeps_former_bits(rng):
+    # near the root the constraint is rounding noise a few ulp wide; inside the
+    # former grid's range the solve returns exactly the float it used to
+    grid = np.logspace(-12, 12, 2001)
+    for k in range(60):
+        idx = QesIndex(int(rng.integers(0, 13)), int(rng.integers(0, 2)))
+        eta = grid[rng.integers(1, 2000)] if k % 4 == 0 else 10.0 ** rng.uniform(-11.9, 11.9)
+        lam = rng.uniform(-3.0, 3.0) * eta ** rng.choice([0.0, 0.5, 0.75, 1.0])
+        omega_sq = solve_constraint(idx, lam=lam, eta=eta)[0].omega_sq
+        expect = _scan_and_bisect_eta(omega_sq, lam, constraint_gamma(idx))
+        got = [p.eta for p in solve_constraint(idx, omega_sq=omega_sq, lam=lam)]
+        assert got == expect
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-60, -1e-200])
+def test_solve_eta_tiny_lambda(lam):
+    # omega2 < 0 and lam -> 0: Cardano's u + v would cancel to 0 here
+    idx = QesIndex(0, 0)
+    (p,) = solve_constraint(idx, omega_sq=-1.0, lam=lam)
+    assert p.eta == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert reduce(p).gamma == pytest.approx(3.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("eta", [1e-30, 1e-3, 1e6])
 @pytest.mark.parametrize("scale", [-1.3, 0.4, 2.5])
 def test_solve_eta_round_trip_extreme(eta, scale):

