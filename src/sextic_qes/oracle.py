@@ -82,9 +82,7 @@ def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpe
     half = 1.0
     while potential_value(p, half) < target:
         half *= 1.05
-    r = reduce(p)
-    s = (-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b)
-    return GridSpec(half_width=max(half, math.sqrt(s)), points=points)
+    return GridSpec(half_width=max(half, reduce(p).weight_half_width()), points=points)
 
 
 def _half_line_eigs(p: CouplingParams, parity: int, half_width: float, m_intervals: int, k: int) -> np.ndarray:

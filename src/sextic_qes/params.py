@@ -58,6 +58,12 @@ class ReducedParams:
         g = self.gamma if gamma is None else gamma
         return self.a**2 - g * self.b
 
+    def weight_half_width(self) -> float:
+        """Half-width L where the weight exp(-a x^2/2 - b x^4/4) has decayed to
+        exp(-40): the positive root of a L^2/2 + b L^4/4 = 40."""
+        s = (-0.5 * self.a + math.sqrt(0.25 * self.a**2 + 40.0 * self.b)) / (0.5 * self.b)
+        return math.sqrt(s)
+
 
 @dataclass(frozen=True)
 class QesIndex:

@@ -35,9 +35,9 @@ class RecurrenceMatrix:
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
-        for n in range(self.dim - 1):
-            m[n, n + 1] = self.superdiag[n]
-            m[n + 1, n] = self.subdiag[n]
+        i = np.arange(self.dim - 1)
+        m[i, i + 1] = self.superdiag
+        m[i + 1, i] = self.subdiag
         return m
 
 
@@ -78,9 +78,10 @@ def build_recurrence_matrix(r: ReducedParams, idx: QesIndex) -> RecurrenceMatrix
     """Assemble M; the closure value of c is imposed regardless of r.c."""
     n_cap, eps = idx.n_cap, idx.parity
     a, b = r.a, r.b
-    diag = np.array([a * (4 * n + 2 * eps + 1) for n in range(n_cap + 1)])
-    sup = np.array([-float((2 * n + 1 + eps) * (2 * n + 2 + eps)) for n in range(n_cap)])
-    sub = np.array([-4.0 * b * (n_cap - n + 1) for n in range(1, n_cap + 1)])
+    n = np.arange(n_cap + 1)
+    diag = a * (4 * n + 2 * eps + 1)
+    sup = -((2 * n[:-1] + 1 + eps) * (2 * n[:-1] + 2 + eps)).astype(float)
+    sub = -4.0 * b * (n_cap - n[1:] + 1)
     return RecurrenceMatrix(dim=n_cap + 1, diag=diag, superdiag=sup, subdiag=sub)
 
 
@@ -99,6 +100,50 @@ def eigenvalues(m: RecurrenceMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(t)
 
 
+def _forward_recurrence(energies: np.ndarray, rc: ReducedParams, idx: QesIndex) -> np.ndarray:
+    """Row k holds A_0..A_N for energies[k], validated on the closure row.
+
+    The recurrence runs once for all energies, one column (degree) per step.
+    Raises NonEigenvalueError, naming the first failing energy, when the
+    closure row does not vanish, i.e. that energy is not an eigenvalue of the
+    recurrence system.
+    """
+    n_cap, eps = idx.n_cap, idx.parity
+    a, b, c = rc.a, rc.b, rc.c
+    two_e = 2.0 * energies
+
+    coeffs = np.empty((len(energies), n_cap + 1))
+    coeffs[:, 0] = 1.0
+    if n_cap == 0:
+        res = two_e - a * (1 + 2 * eps)
+        bad = np.flatnonzero(np.abs(res) > _ROW_RTOL * max(1.0, abs(a)))
+        if bad.size:
+            k = bad[0]
+            raise NonEigenvalueError(f"E={float(energies[k])} is not an eigenvalue (residual {res[k]:.3e})")
+        return coeffs
+
+    coeffs[:, 1] = (a * (1 + 2 * eps) - two_e) / ((1 + eps) * (2 + eps))
+    for n in range(1, n_cap):
+        coeffs[:, n + 1] = (
+            (c + 2 * b * (2 * n - 2 + eps)) * coeffs[:, n - 1]
+            - (two_e - a - 2 * a * (2 * n + eps)) * coeffs[:, n]
+        ) / ((2 * n + 1 + eps) * (2 * n + 2 + eps))
+
+    # closure row n = N, with A_{N+1} = 0
+    diag = two_e - a - 2 * a * (2 * n_cap + eps)
+    off = c + 2 * b * (2 * n_cap - 2 + eps)
+    res = diag * coeffs[:, n_cap] - off * coeffs[:, n_cap - 1]
+    # fmax, like max(1.0, v), ignores a NaN v
+    scale = np.fmax(1.0, np.max(np.abs(coeffs), axis=1)) * np.fmax(1.0, np.abs(diag) + abs(off))
+    bad = np.flatnonzero(np.abs(res) > _ROW_RTOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise NonEigenvalueError(
+            f"E={float(energies[k])} is not an eigenvalue (closure residual {res[k]:.3e})"
+        )
+    return coeffs
+
+
 def coefficients_from_energy(
     energy: float, r: ReducedParams, idx: QesIndex
 ) -> np.ndarray:
@@ -107,55 +152,23 @@ def coefficients_from_energy(
     Raises NonEigenvalueError when the closure row does not vanish, i.e. the
     supplied energy is not an eigenvalue of the recurrence system.
     """
-    n_cap, eps = idx.n_cap, idx.parity
-    rc = closure_reduced(r, idx)
-    a, b, c = rc.a, rc.b, rc.c
-    two_e = 2.0 * energy
-
-    coeffs = np.empty(n_cap + 1)
-    coeffs[0] = 1.0
-    if n_cap == 0:
-        res = two_e - a * (1 + 2 * eps)
-        if abs(res) > _ROW_RTOL * max(1.0, abs(a)):
-            raise NonEigenvalueError(f"E={energy} is not an eigenvalue (residual {res:.3e})")
-        return coeffs
-
-    coeffs[1] = (a * (1 + 2 * eps) - two_e) / ((1 + eps) * (2 + eps))
-    for n in range(1, n_cap):
-        coeffs[n + 1] = (
-            (c + 2 * b * (2 * n - 2 + eps)) * coeffs[n - 1]
-            - (two_e - a - 2 * a * (2 * n + eps)) * coeffs[n]
-        ) / ((2 * n + 1 + eps) * (2 * n + 2 + eps))
-
-    # closure row n = N, with A_{N+1} = 0
-    res = (two_e - a - 2 * a * (2 * n_cap + eps)) * coeffs[n_cap] - (
-        c + 2 * b * (2 * n_cap - 2 + eps)
-    ) * coeffs[n_cap - 1]
-    scale = max(1.0, float(np.max(np.abs(coeffs)))) * max(
-        1.0, abs(two_e - a - 2 * a * (2 * n_cap + eps)) + abs(c + 2 * b * (2 * n_cap - 2 + eps))
-    )
-    if abs(res) > _ROW_RTOL * scale:
-        raise NonEigenvalueError(
-            f"E={energy} is not an eigenvalue (closure residual {res:.3e})"
-        )
-    return coeffs
+    return _forward_recurrence(np.array([energy]), closure_reduced(r, idx), idx)[0]
 
 
 def _make_spectrum(energies: np.ndarray, r: ReducedParams, idx: QesIndex) -> QesSpectrum:
     rc = closure_reduced(r, idx)
-    order = np.argsort(energies)
-    states = []
-    for m, i in enumerate(order):
-        e = float(energies[i])
-        states.append(
-            QesState(
-                energy=e,
-                coeffs=coefficients_from_energy(e, rc, idx),
-                parity=idx.parity,
-                expected_nodes=2 * m + idx.parity,
-                label=m,
-            )
+    energies = np.sort(energies)
+    coeffs = _forward_recurrence(energies, rc, idx)
+    states = [
+        QesState(
+            energy=float(e),
+            coeffs=coeffs[m],
+            parity=idx.parity,
+            expected_nodes=2 * m + idx.parity,
+            label=m,
         )
+        for m, e in enumerate(energies)
+    ]
     return QesSpectrum(index=idx, reduced=rc, states=states)
 
 

@@ -41,6 +41,38 @@ def _weight(r: ReducedParams, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * r.a * x2 - 0.25 * r.b * x2 * x2)
 
 
+def _horner(c: np.ndarray, x, step: int = 1):
+    """sum_k c[k] x^k by Horner's rule, bit-identical to npoly.polyval(x, c).
+
+    The same IEEE operations run in the same order, in place on one
+    accumulator.  With step=2 the coefficient is added only every second
+    degree, counted down from the top; the skipped coefficients must be zero,
+    and skipping their + 0.0 can change no more than the sign of a zero.
+    """
+    acc = c[-1] + x * 0.0
+    for i, ck in enumerate(c[-2::-1], 1):
+        acc *= x
+        if i % step == 0:
+            acc += ck
+    return acc
+
+
+def _value(cs: list[float], t: float) -> float:
+    """The same Horner sum on Python floats (cs from coeffs.tolist()), for scalar t."""
+    high_to_low = reversed(cs)
+    acc = next(high_to_low) + t * 0.0
+    for c in high_to_low:
+        acc = acc * t + c
+    return acc
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative, bit-identical to npoly.polyder(c)."""
+    if len(c) == 1:
+        return c * 0.0
+    return c[1:] * np.arange(1, len(c))
+
+
 def _poly_in_x(f: Eigenfunction) -> np.ndarray:
     """Coefficients of y(x) = x^eps * sum A_n x^{2n} (low-to-high in x)."""
     eps = f.state.parity
@@ -50,22 +82,24 @@ def _poly_in_x(f: Eigenfunction) -> np.ndarray:
     return y
 
 
+def _psi_over_weight(f: Eigenfunction, x: np.ndarray):
+    """x^eps * sum A_n t^n with t = x^2, by Horner in t."""
+    poly = _horner(f.state.coeffs, x * x)
+    return x * poly if f.state.parity else poly
+
+
 def eval_psi(f: Eigenfunction, x) -> np.ndarray:
     """psi(x); the polynomial is evaluated by Horner in t = x^2."""
     x = np.asarray(x, dtype=float)
-    t = x * x
-    poly = npoly.polyval(t, f.state.coeffs)
-    pref = x if f.state.parity else 1.0
-    return pref * poly * _weight(f.reduced, x)
+    return _psi_over_weight(f, x) * _weight(f.reduced, x)
 
 
-def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
-    """psi''(x) from the exact product rule on polynomial times weight."""
-    x = np.asarray(x, dtype=float)
+def _second_derivative_over_weight(f: Eigenfunction, x: np.ndarray):
+    """psi''/W, a polynomial in x of the parity of psi, from the product rule."""
     a, b = f.reduced.a, f.reduced.b
     y = _poly_in_x(f)
-    yp = npoly.polyder(y)
-    ypp = npoly.polyder(yp)
+    yp = _derivative(y)
+    ypp = _derivative(yp)
     g = np.array([0.0, a, 0.0, b])  # -(log W)' = a x + b x^3
     q = (
         npoly.polyadd(
@@ -73,7 +107,15 @@ def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
             npoly.polymul(npoly.polysub(npoly.polymul(g, g), np.array([a, 0.0, 3.0 * b])), y),
         )
     )
-    return npoly.polyval(x, q) * _weight(f.reduced, x)
+    # the degrees of the other parity hold zeros, unless a coefficient is not
+    # finite (inf * 0 puts NaN there): then the full sum keeps the NaN
+    return _horner(q, x, step=1 if q[-2::-2].any() else 2)
+
+
+def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
+    """psi''(x) from the exact product rule on polynomial times weight."""
+    x = np.asarray(x, dtype=float)
+    return _second_derivative_over_weight(f, x) * _weight(f.reduced, x)
 
 
 def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
@@ -88,44 +130,53 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
     lam, eta = r.lam, r.eta
     x2 = xs * xs
     v2 = w2 * x2 + 0.5 * lam * x2 * x2 + eta * x2 * x2 * x2 / 3.0
-    return psi_second_derivative(f, xs) + (2.0 * energy - v2) * eval_psi(f, xs)
+    w = _weight(r, xs)
+    psi = _psi_over_weight(f, xs) * w
+    return _second_derivative_over_weight(f, xs) * w + (2.0 * energy - v2) * psi
 
 
 # ---------------------------------------------------------------------------
 # node counting via Sturm sequences on the polynomial in t = x^2
 
 
-def _sturm_chain(coeffs: np.ndarray) -> list[np.ndarray]:
-    p0 = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    chain = [p0, npoly.polyder(p0)]
+def _trimmed(coeffs) -> np.ndarray:
+    """The coefficients without trailing zeros, as np.trim_zeros(c, "b") gives them."""
+    c = np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:0]
+
+
+def _sturm_chain(p0: np.ndarray) -> list[list[float]]:
+    """Sturm sequence of a trimmed polynomial, each member as Python floats."""
+    chain = [p0, _derivative(p0)]
     while len(chain[-1]) > 1:
         _, rem = npoly.polydiv(chain[-2], chain[-1])
-        rem = np.trim_zeros(rem, "b")
+        rem = _trimmed(rem)
         scale = float(np.max(np.abs(chain[-2])))
         if rem.size == 0 or np.max(np.abs(rem)) < 1e-13 * max(1.0, scale):
             warnings.warn("Sturm sequence degenerated: polynomial has a multiple root")
             break
         chain.append(-rem)
-    return chain
+    return [p.tolist() for p in chain]
 
 
-def _variations_at(chain: list[np.ndarray], t: float) -> int:
+def _variations_at(chain: list[list[float]], t: float) -> int:
     signs = []
-    for p in chain:
-        v = npoly.polyval(t, p)
+    for cs in chain:
+        v = _value(cs, t)
         if v != 0.0:
             signs.append(math.copysign(1.0, v))
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _variations_at_inf(chain: list[np.ndarray]) -> int:
-    signs = [math.copysign(1.0, p[-1]) for p in chain if p.size]
+def _variations_at_inf(chain: list[list[float]]) -> int:
+    signs = [math.copysign(1.0, cs[-1]) for cs in chain if cs]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
 def count_positive_roots(coeffs: np.ndarray) -> int:
     """Exact number of distinct roots of the t-polynomial on (0, inf)."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    coeffs = _trimmed(coeffs)
     if len(coeffs) <= 1:
         return 0
     chain = _sturm_chain(coeffs)
@@ -134,29 +185,36 @@ def count_positive_roots(coeffs: np.ndarray) -> int:
 
 def _positive_roots(coeffs: np.ndarray) -> list[float]:
     """Isolate and bisect the positive real roots of the t-polynomial."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    total = count_positive_roots(coeffs)
-    if total == 0:
+    coeffs = _trimmed(coeffs)
+    if len(coeffs) <= 1:
         return []
     chain = _sturm_chain(coeffs)
-    # Cauchy bound on root magnitudes
-    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1])
+    variations: dict[float, int] = {}  # bisection points recur as interval ends
 
-    def nroots(lo: float, hi: float) -> int:
-        return _variations_at(chain, lo) - _variations_at(chain, hi)
+    def variations_at(t: float) -> int:
+        v = variations.get(t)
+        if v is None:
+            v = variations[t] = _variations_at(chain, t)
+        return v
+
+    if variations_at(0.0) - _variations_at_inf(chain) == 0:
+        return []
+    cs = coeffs.tolist()
+    # Cauchy bound on root magnitudes
+    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(cs[-1])
 
     roots: list[float] = []
     stack = [(0.0, bound)]
     while stack:
         lo, hi = stack.pop()
-        n = nroots(lo, hi)
+        n = variations_at(lo) - variations_at(hi)
         if n == 0:
             continue
         if n == 1:
-            flo = npoly.polyval(lo, coeffs)
+            flo = _value(cs, lo)
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fm = npoly.polyval(mid, coeffs)
+                fm = _value(cs, mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
@@ -195,8 +253,7 @@ def integration_cutoff(r: ReducedParams) -> float:
     The weight is then ~exp(-40) at the cutoff, far below any polynomial
     prefactor at double precision.
     """
-    s = (-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b)
-    return max(6.0, math.sqrt(s))
+    return max(6.0, r.weight_half_width())
 
 
 def _underflow_width(r: ReducedParams) -> float:
@@ -229,7 +286,8 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         return 0.0  # odd integrand
     half = min(integration_cutoff(rf), _underflow_width(rf))
     xs, h = np.linspace(0.0, half, _QUAD_NODES, retstep=True)
-    y = eval_psi(f, xs) * eval_psi(g, xs)
+    psi = eval_psi(f, xs)
+    y = psi * psi if g is f else psi * eval_psi(g, xs)
     return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 

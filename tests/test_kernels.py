@@ -1,0 +1,362 @@
+"""The Horner kernels and the one-pass recurrence give the former bits exactly.
+
+Hypothesis checks the kernels against numpy.polynomial directly.  Frozen
+copies of the former numpy.polynomial-based functions then pin every output
+of the evaluation, node-counting and recurrence paths, NaN-aware, at large N,
+both parities and both signs of a.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+
+from sextic_qes import (
+    CouplingParams,
+    Eigenfunction,
+    NonEigenvalueError,
+    QesIndex,
+    ReducedParams,
+    coefficients_from_energy,
+    default_grid,
+    reduce,
+    spectrum,
+)
+from sextic_qes.oracle import potential_value
+from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
+from sextic_qes.wavefunction import (
+    _derivative,
+    _horner,
+    _trimmed,
+    _value,
+    count_nodes,
+    count_positive_roots,
+    eval_psi,
+    integration_cutoff,
+    norm_and_inner,
+    ode_residual,
+    psi_second_derivative,
+)
+
+floats = st.floats(width=64)  # NaN and +-inf included: the kernels must match there too
+coeff_lists = st.lists(floats, min_size=1, max_size=220)
+
+
+def same(x, y) -> bool:
+    return type(x) is type(y) and np.array_equal(x, y, equal_nan=True)
+
+
+def identical(x, y) -> bool:
+    """Same type and values, NaN in the same places and zeros of the same sign."""
+    nan_x, nan_y = np.isnan(x), np.isnan(y)
+    return (
+        same(x, y)
+        and np.array_equal(nan_x, nan_y)
+        and np.array_equal(np.signbit(x)[~nan_x], np.signbit(y)[~nan_y])
+    )
+
+
+specials = [math.inf, -math.inf, math.nan, -0.0]
+
+
+# ---------------------------------------------------------------------------
+# the kernels against numpy.polynomial
+
+
+@given(coeff_lists, st.one_of(floats, st.lists(floats, min_size=1, max_size=8)))
+@example([-0.0], -2.0)
+@example([2.0], specials)
+@example([1.0, 3.0], specials)
+def test_horner_is_polyval(cs, x):
+    c, x = np.array(cs), np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        assert identical(_horner(c, x), npoly.polyval(x, c))
+
+
+@given(coeff_lists, st.lists(floats, min_size=1, max_size=8), st.booleans())
+@example([1.0, 5.0, -2.0], specials, True)
+def test_horner_step2_on_parity_structured_coefficients(cs, x, negative_zero):
+    # the degrees of the other parity than the top one hold (signed) zeros
+    c = np.array(cs)
+    c[-2::-2] = -0.0 if negative_zero else 0.0
+    x = np.array(x)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_horner(c, x, 2), npoly.polyval(x, c), equal_nan=True)
+
+
+@given(coeff_lists, floats)
+@example([-0.0], -2.0)
+@example([2.0], math.inf)
+@example([2.0], math.nan)
+@example([1.0, 3.0], -math.inf)
+def test_value_is_polyval(cs, t):
+    c = np.array(cs)
+    with np.errstate(all="ignore"):
+        expect = float(npoly.polyval(t, c))
+    got = _value(c.tolist(), t)
+    assert type(got) is float and identical(got, expect)
+
+
+@given(coeff_lists)
+@example([math.inf])
+@example([1.0, -0.0, math.nan, math.inf])
+def test_derivative_is_polyder(cs):
+    c = np.array(cs)
+    with np.errstate(all="ignore"):
+        assert identical(_derivative(c), npoly.polyder(c))
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, math.nan]), max_size=6))
+def test_trimmed_is_trim_zeros(cs):
+    c = np.array(cs, dtype=float)
+    assert same(_trimmed(c), np.trim_zeros(c, "b"))
+
+
+def test_derivative_of_a_constant_is_zero():
+    assert same(_derivative(np.array([3.0])), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# frozen copies of the former functions
+
+
+def _former_eval_psi(f, x):
+    x = np.asarray(x, dtype=float)
+    t = x * x
+    poly = npoly.polyval(t, f.state.coeffs)
+    pref = x if f.state.parity else 1.0
+    x2 = x * x
+    return pref * poly * np.exp(-0.5 * f.reduced.a * x2 - 0.25 * f.reduced.b * x2 * x2)
+
+
+def _former_psi_second_derivative(f, x):
+    x = np.asarray(x, dtype=float)
+    a, b = f.reduced.a, f.reduced.b
+    eps, coeffs = f.state.parity, f.state.coeffs
+    y = np.zeros(2 * (len(coeffs) - 1) + eps + 1)
+    y[eps::2] = coeffs
+    yp = npoly.polyder(y)
+    ypp = npoly.polyder(yp)
+    g = np.array([0.0, a, 0.0, b])
+    q = npoly.polyadd(
+        npoly.polysub(ypp, 2.0 * npoly.polymul(g, yp)),
+        npoly.polymul(npoly.polysub(npoly.polymul(g, g), np.array([a, 0.0, 3.0 * b])), y),
+    )
+    x2 = x * x
+    return npoly.polyval(x, q) * np.exp(-0.5 * a * x2 - 0.25 * b * x2 * x2)
+
+
+def _former_ode_residual(f, energy, xs):
+    xs = np.asarray(xs, dtype=float)
+    r = f.reduced
+    w2, lam, eta = r.omega_sq(), r.lam, r.eta
+    x2 = xs * xs
+    v2 = w2 * x2 + 0.5 * lam * x2 * x2 + eta * x2 * x2 * x2 / 3.0
+    return _former_psi_second_derivative(f, xs) + (2.0 * energy - v2) * _former_eval_psi(f, xs)
+
+
+def _former_sturm_chain(coeffs):
+    p0 = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    chain = [p0, npoly.polyder(p0)]
+    while len(chain[-1]) > 1:
+        _, rem = npoly.polydiv(chain[-2], chain[-1])
+        rem = np.trim_zeros(rem, "b")
+        scale = float(np.max(np.abs(chain[-2])))
+        if rem.size == 0 or np.max(np.abs(rem)) < 1e-13 * max(1.0, scale):
+            break
+        chain.append(-rem)
+    return chain
+
+
+def _former_variations_at(chain, t):
+    signs = [math.copysign(1.0, v) for v in (npoly.polyval(t, p) for p in chain) if v != 0.0]
+    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+
+def _former_variations_at_inf(chain):
+    signs = [math.copysign(1.0, p[-1]) for p in chain if p.size]
+    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+
+def _former_count_positive_roots(coeffs):
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if len(coeffs) <= 1:
+        return 0
+    chain = _former_sturm_chain(coeffs)
+    return _former_variations_at(chain, 0.0) - _former_variations_at_inf(chain)
+
+
+def _former_positive_roots(coeffs):
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if _former_count_positive_roots(coeffs) == 0:
+        return []
+    chain = _former_sturm_chain(coeffs)
+    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1])
+    roots = []
+    stack = [(0.0, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = _former_variations_at(chain, lo) - _former_variations_at(chain, hi)
+        if n == 0:
+            continue
+        if n == 1:
+            flo = npoly.polyval(lo, coeffs)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = npoly.polyval(mid, coeffs)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+                if hi - lo < 1e-14 * max(1.0, hi):
+                    break
+            roots.append(0.5 * (lo + hi))
+            continue
+        mid = 0.5 * (lo + hi)
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    return sorted(roots)
+
+
+def _former_count_nodes(f):
+    eps = f.state.parity
+    t_roots = _former_positive_roots(f.state.coeffs)
+    return 2 * len(t_roots) + eps, [0.0] * eps + [math.sqrt(t) for t in t_roots]
+
+
+def _former_coefficients_from_energy(energy, r, idx):
+    n_cap, eps = idx.n_cap, idx.parity
+    rc = closure_reduced(r, idx)
+    a, b, c = rc.a, rc.b, rc.c
+    two_e = 2.0 * energy
+    coeffs = np.empty(n_cap + 1)
+    coeffs[0] = 1.0
+    if n_cap == 0:
+        res = two_e - a * (1 + 2 * eps)
+        if abs(res) > 1e-8 * max(1.0, abs(a)):
+            raise NonEigenvalueError(f"E={energy} is not an eigenvalue (residual {res:.3e})")
+        return coeffs
+    coeffs[1] = (a * (1 + 2 * eps) - two_e) / ((1 + eps) * (2 + eps))
+    for n in range(1, n_cap):
+        coeffs[n + 1] = (
+            (c + 2 * b * (2 * n - 2 + eps)) * coeffs[n - 1]
+            - (two_e - a - 2 * a * (2 * n + eps)) * coeffs[n]
+        ) / ((2 * n + 1 + eps) * (2 * n + 2 + eps))
+    res = (two_e - a - 2 * a * (2 * n_cap + eps)) * coeffs[n_cap] - (
+        c + 2 * b * (2 * n_cap - 2 + eps)
+    ) * coeffs[n_cap - 1]
+    scale = max(1.0, float(np.max(np.abs(coeffs)))) * max(
+        1.0, abs(two_e - a - 2 * a * (2 * n_cap + eps)) + abs(c + 2 * b * (2 * n_cap - 2 + eps))
+    )
+    if abs(res) > 1e-8 * scale:
+        raise NonEigenvalueError(f"E={energy} is not an eigenvalue (closure residual {res:.3e})")
+    return coeffs
+
+
+def _former_dense(r, idx):
+    n_cap, eps, a, b = idx.n_cap, idx.parity, r.a, r.b
+    m = np.diag([a * (4 * n + 2 * eps + 1) for n in range(n_cap + 1)])
+    for n in range(n_cap):
+        m[n, n + 1] = -float((2 * n + 1 + eps) * (2 * n + 2 + eps))
+        m[n + 1, n] = -4.0 * b * (n_cap - (n + 1) + 1)
+    return m
+
+
+# ---------------------------------------------------------------------------
+# the package against the frozen copies
+
+WEIGHTS = [(1.25, 0.1), (-1.5, 0.35)]  # a > 0 and a < 0
+
+
+def blocks(ns):
+    for n in ns:
+        for eps in (0, 1):
+            for a, b in WEIGHTS:
+                idx = QesIndex(n, eps)
+                yield idx, spectrum(ReducedParams(a=a, b=b, c=0.0, gamma=0.0), idx)
+
+
+def sampled(states):
+    """About five states per block, the top one included: the former code is slow at large N."""
+    return states[:: max(1, len(states) // 5)] + states[-1:]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 50, 100])
+def test_evaluation_keeps_former_bits(n):
+    for idx, s in blocks([n]):
+        cut = integration_cutoff(s.reduced)
+        xs = np.linspace(-cut, cut, 301)
+        for state in sampled(s.states):
+            f = Eigenfunction(state=state, reduced=s.reduced)
+            with np.errstate(all="ignore"):
+                psi = eval_psi(f, xs)
+                assert same(psi, _former_eval_psi(f, xs))
+                assert same(psi_second_derivative(f, xs), _former_psi_second_derivative(f, xs))
+                assert same(
+                    ode_residual(f, state.energy, xs), _former_ode_residual(f, state.energy, xs)
+                )
+                for x in (0.0, -0.7, 1.9):
+                    assert same(eval_psi(f, x), _former_eval_psi(f, x))
+                    assert same(psi_second_derivative(f, x), _former_psi_second_derivative(f, x))
+            assert same(psi * psi, _former_eval_psi(f, xs) * _former_eval_psi(f, xs))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])  # the former code takes ~1 s at N = 14
+def test_node_counts_keep_former_bits(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # multiple-root warnings of degenerate chains
+        for _, s in blocks([n]):
+            for state in s.states:
+                f = Eigenfunction(state=state, reduced=s.reduced)
+                report = count_nodes(f)
+                assert (report.count, report.locations) == _former_count_nodes(f)
+                assert count_positive_roots(state.coeffs) == _former_count_positive_roots(state.coeffs)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the NonEigenvalueError it raises."""
+    try:
+        return fn(*args)
+    except NonEigenvalueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 50, 100])
+def test_recurrence_keeps_former_bits(n):
+    for idx, s in blocks([n]):
+        assert same(build_recurrence_matrix(s.reduced, idx).dense(), _former_dense(s.reduced, idx))
+        for state in s.states:
+            if n > 3:  # N <= 3 spectra come from the closed forms
+                assert same(state.coeffs, _former_coefficients_from_energy(state.energy, s.reduced, idx))
+        for state in sampled(s.states):
+            for energy in (state.energy, state.energy + 0.1):  # an eigenvalue, and not one
+                got = outcome(coefficients_from_energy, energy, s.reduced, idx)
+                expect = outcome(_former_coefficients_from_energy, energy, s.reduced, idx)
+                assert got == expect if isinstance(got, str) else same(got, expect)
+
+
+@pytest.mark.parametrize("e_max", [9.2, 1e3])  # the weight's width binds, then the potential's
+def test_weight_width_keeps_former_bits(e_max):
+    for omega_sq, lam, eta in [(0.3, 0.5, 0.03), (2.0, -1.0, 0.2), (-3.0, 0.1, 1e-3)]:
+        p = CouplingParams(omega_sq=omega_sq, lam=lam, eta=eta)
+        r = reduce(p)
+        width = math.sqrt((-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b))
+        assert integration_cutoff(r) == max(6.0, width)
+        half = 1.0
+        while potential_value(p, half) < e_max + 25.0:
+            half *= 1.05
+        assert default_grid(p, e_max).half_width == max(half, width)
+
+
+def test_self_norm_keeps_former_bits():
+    _, s = next(blocks([3]))
+    f = Eigenfunction(state=s.states[1], reduced=s.reduced)
+    g = Eigenfunction(state=s.states[1], reduced=s.reduced)  # equal, but not f itself
+    assert norm_and_inner(f, f) == norm_and_inner(f, g)
