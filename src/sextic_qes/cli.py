@@ -1,7 +1,8 @@
 """Command-line interface: tables, spectra, constraint solving, export, verify, scan.
 
-Exit codes: 0 success, 2 usage error (click), 3 constraint violation,
-4 solver failure, 5 verification mismatch, 6 I/O error.
+Exit codes: 0 success, 2 usage error, 3 constraint violation, 4 solver
+failure, 5 verification mismatch, 6 I/O error.  `_EXIT_CODES` maps the
+package's errors to them in one place.
 
 All data outputs are deterministic: no timestamps, fixed column order,
 locale-independent formatting.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 
 import click
@@ -20,71 +22,76 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import params as params_mod
 from . import qes_core, wavefunction
-from .errors import (
-    ConstraintViolationError,
-    NoSolutionError,
-    QesError,
-    SolverError,
-    VerificationError,
-)
+from .errors import ConstraintViolationError, InvalidCouplingError, QesError, VerificationError
 from .params import CouplingParams, QesIndex
 
-EXIT_CONSTRAINT = 3
-EXIT_SOLVER = 4
+# Exit code of each documented failure; the first class that matches wins.
+_EXIT_CODES = (
+    (InvalidCouplingError, 2),
+    (ValueError, 2),  # bad arguments: N, grid, range, missing couplings
+    (ConstraintViolationError, 3),
+    (VerificationError, 5),
+    (QesError, 4),  # solver failures
+    (OSError, 6),
+)
 EXIT_VERIFY = 5
-EXIT_IO = 6
 
-_PARITY = {"even": 0, "odd": 1}
+_EPS = {"even": 0, "odd": 1}
 
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _coupling_options(f):
-    f = click.option("--omega2", type=float, default=None, help="Quadratic coupling w^2.")(f)
-    f = click.option("--lambda", "lam", type=float, default=None, help="Quartic coupling.")(f)
-    f = click.option("--eta", type=float, default=None, help="Sextic coupling (> 0).")(f)
-    f = click.option("--N", "n_cap", type=int, required=True, help="Polynomial degree index N.")(f)
-    f = click.option(
-        "--parity", type=click.Choice(["even", "odd"]), default="even", show_default=True
-    )(f)
-    return f
+_omega2 = click.option("--omega2", type=float, default=None, help="Quadratic coupling w^2.")
+_lam = click.option("--lambda", "lam", type=float, default=None, help="Quartic coupling.")
+_eta = click.option("--eta", type=float, default=None, help="Sextic coupling (> 0).")
+_n_cap = click.option("--N", "n_cap", type=click.IntRange(min=0), required=True, help="Polynomial degree index N.")
+_parity = click.option("--parity", type=click.Choice(["even", "odd"]), default="even", show_default=True)
+_force_general = click.option("--force-general", is_flag=True, help="Use the tridiagonal solver even for N <= 3.")
 
 
-def _resolve_couplings(
-    omega2, lam, eta, idx: QesIndex, enforce: bool = True
-) -> tuple[CouplingParams, bool]:
-    """Return couplings satisfying the constraint; solve for the missing one.
+def _format(choices: list[str], default: str):
+    return click.option("--format", "fmt", type=click.Choice(choices), default=default, show_default=True)
+
+
+def _out(required: bool = False):
+    return click.option("--out", type=click.Path(), required=required)
+
+
+def _options(*options):
+    """Apply click options in the order given, which is their order in --help."""
+
+    def apply(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return apply
+
+
+_BLOCK = (_omega2, _lam, _eta, _n_cap, _parity, _force_general)
+
+
+def _solve_block(
+    omega2, lam, eta, n_cap: int, parity: str, force_general: bool, enforce: bool = True
+) -> tuple[CouplingParams, qes_core.QesSpectrum, bool]:
+    """Couplings satisfying the constraint (unless not enforce), and their spectrum.
 
     Only the linear omega2 case is auto-solved; solving for lam or eta is the
-    business of the `constraint` command.  Returns (couplings, was_solved).
+    business of the `constraint` command.  Returns (couplings, spectrum, was_solved).
     """
+    idx = QesIndex(n_cap=n_cap, parity=_EPS[parity])
     given = [v is not None for v in (omega2, lam, eta)]
-    if given == [False, True, True]:
-        sols = params_mod.solve_constraint(idx, omega_sq=None, lam=lam, eta=eta)
-        return sols[0], True
-    if not all(given):
-        _fail(2, "need --lambda and --eta (with --omega2 optional; it is auto-solved)")
-    p = CouplingParams(omega2, lam, eta)
-    if enforce:
+    solved = given == [False, True, True]
+    if solved:
+        p = params_mod.solve_constraint(idx, omega_sq=None, lam=lam, eta=eta)[0]
+    elif not all(given):
+        raise ValueError("need --lambda and --eta (with --omega2 optional; it is auto-solved)")
+    else:
+        p = CouplingParams(omega2, lam, eta)
         res = params_mod.gamma_residual(p, idx)
-        if abs(res) > 1e-8 * max(1.0, params_mod.constraint_gamma(idx)):
-            _fail(
-                EXIT_CONSTRAINT,
+        if enforce and abs(res) > 1e-8 * max(1.0, params_mod.constraint_gamma(idx)):
+            raise ConstraintViolationError(
                 f"couplings violate the constraint: gamma={params_mod.reduce(p).gamma:.10g}, "
-                f"required {params_mod.constraint_gamma(idx):g} (N={idx.n_cap}, parity={idx.parity})",
+                f"required {params_mod.constraint_gamma(idx):g} (N={idx.n_cap}, parity={idx.parity})"
             )
-    return p, False
-
-
-def _spectrum_for(p: CouplingParams, idx: QesIndex, force_general: bool) -> qes_core.QesSpectrum:
-    r = params_mod.reduce(p)
-    try:
-        return qes_core.spectrum(r, idx, force_general=force_general)
-    except SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+    return p, qes_core.spectrum(params_mod.reduce(p), idx, force_general=force_general), solved
 
 
 def _format_table(spec: qes_core.QesSpectrum) -> str:
@@ -118,57 +125,89 @@ def _state_records(spec: qes_core.QesSpectrum, with_nodes: bool = True) -> list[
     return records
 
 
-def _config_dict(p: CouplingParams, idx: QesIndex) -> dict:
-    return {
-        "omega2": p.omega_sq,
-        "lambda": p.lam,
-        "eta": p.eta,
-        "N": idx.n_cap,
-        "parity": idx.parity,
+def _json(p: CouplingParams, spec: qes_core.QesSpectrum, records: list[dict], **extra) -> str:
+    """The JSON document of table, spectrum and export (README, "JSON schema")."""
+    idx, r = spec.index, params_mod.reduce(p)
+    doc = {
+        "config": {"omega2": p.omega_sq, "lambda": p.lam, "eta": p.eta, "N": idx.n_cap, "parity": idx.parity},
+        "constraint": {"gamma": params_mod.constraint_gamma(idx), "a": r.a, "b": r.b, "c": r.c},
+        "states": records,
+        **extra,
     }
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _constraint_dict(p: CouplingParams, idx: QesIndex) -> dict:
-    r = params_mod.reduce(p)
-    return {
-        "gamma": params_mod.constraint_gamma(idx),
-        "a": r.a,
-        "b": r.b,
-        "c": r.c,
-    }
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _states_csv(records: list[dict], n_cap: int) -> str:
+    return _csv(
+        ["m", "parity", "energy", "nodes", "norm"] + [f"A{i}" for i in range(n_cap + 1)],
+        (
+            [rec["m"], rec["parity"], repr(rec["energy"]), rec["nodes"], repr(rec["norm"])]
+            + [repr(c) for c in rec["coefficients"]]
+            for rec in records
+        ),
+    )
+
+
+def _parse_range(text: str, error: str) -> np.ndarray:
+    """The points MIN + k*STEP, k = 0 .. round((MAX - MIN)/STEP), of MIN:MAX:STEP.
+
+    A negative count gives no points, so the sign of STEP sets the direction.
+    STEP 0 and non-finite values raise ValueError(error).
+    """
+    try:
+        lo, hi, step = (float(v) for v in text.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step) and step != 0.0):
+            raise ValueError
+        n = int(round((hi - lo) / step)) + 1
+    except (ValueError, OverflowError):
+        raise ValueError(error) from None
+    return lo + step * np.arange(max(n, 0))
 
 
 def _write_output(text: str, out: str | None):
-    try:
-        if out:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Turns the errors in _EXIT_CODES into one `error:` line and their exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+
+
+@click.group(cls=_Cli)
 @click.version_option(version="0.1.0", prog_name="sextic-qes")
 def main():
     """Exact spectra of the sextic doubly anharmonic oscillator."""
 
 
 @main.command("table")
-@_coupling_options
-@click.option("--force-general", is_flag=True, help="Use the tridiagonal solver even for N <= 3.")
+@_options(*_BLOCK)
 @click.option(
     "--paper-caption-omega",
     is_flag=True,
     help="Accept an omega2 that violates the constraint (coefficients depend only on a, b).",
 )
-@click.option("--format", "fmt", type=click.Choice(["human", "csv", "json"]), default="human", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_options(_format(["human", "csv", "json"], "human"), _out())
 def cmd_table(omega2, lam, eta, n_cap, parity, force_general, paper_caption_omega, fmt, out):
     """Print the coefficient/eigenvalue table for one (N, parity) block."""
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
-    p, solved = _resolve_couplings(omega2, lam, eta, idx, enforce=not paper_caption_omega)
+    p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity, force_general, not paper_caption_omega)
     if paper_caption_omega:
         click.echo(
             "note: constraint not enforced; table uses the closure values of (c, gamma)",
@@ -176,39 +215,24 @@ def cmd_table(omega2, lam, eta, n_cap, parity, force_general, paper_caption_omeg
         )
     elif solved:
         click.echo(f"note: omega2 solved from the constraint: {p.omega_sq:.10g}", err=True)
-    spec = _spectrum_for(p, idx, force_general)
 
     if fmt == "human":
         text = _format_table(spec)
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["m"] + [f"A{i}" for i in range(1, n_cap + 1)] + ["E"])
-        for st in spec.states:
-            w.writerow([st.label] + [repr(float(c)) for c in st.coeffs[1:]] + [repr(st.energy)])
-        text = buf.getvalue()
+        text = _csv(
+            ["m"] + [f"A{i}" for i in range(1, n_cap + 1)] + ["E"],
+            ([st.label] + [repr(float(c)) for c in st.coeffs[1:]] + [repr(st.energy)] for st in spec.states),
+        )
     else:
-        text = json.dumps(
-            {
-                "config": _config_dict(p, idx),
-                "constraint": _constraint_dict(p, idx),
-                "states": _state_records(spec, with_nodes=False),
-            },
-            indent=2,
-        ) + "\n"
+        text = _json(p, spec, _state_records(spec, with_nodes=False))
     _write_output(text, out)
 
 
 @main.command("spectrum")
-@_coupling_options
-@click.option("--force-general", is_flag=True)
-@click.option("--format", "fmt", type=click.Choice(["human", "csv", "json"]), default="human", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_options(*_BLOCK, _format(["human", "csv", "json"], "human"), _out())
 def cmd_spectrum(omega2, lam, eta, n_cap, parity, force_general, fmt, out):
     """Print energies, coefficients, node counts and norms at full precision."""
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
-    p, _ = _resolve_couplings(omega2, lam, eta, idx)
-    spec = _spectrum_for(p, idx, force_general)
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
     records = _state_records(spec)
 
     if fmt == "human":
@@ -221,43 +245,21 @@ def cmd_spectrum(omega2, lam, eta, n_cap, parity, force_general, fmt, out):
             )
         text = "\n".join(lines) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["m", "parity", "energy", "nodes", "norm"] + [f"A{i}" for i in range(n_cap + 1)])
-        for rec in records:
-            w.writerow(
-                [rec["m"], rec["parity"], repr(rec["energy"]), rec["nodes"], repr(rec["norm"])]
-                + [repr(c) for c in rec["coefficients"]]
-            )
-        text = buf.getvalue()
+        text = _states_csv(records, n_cap)
     else:
-        text = json.dumps(
-            {
-                "config": _config_dict(p, idx),
-                "constraint": _constraint_dict(p, idx),
-                "states": records,
-            },
-            indent=2,
-        ) + "\n"
+        text = _json(p, spec, records)
     _write_output(text, out)
 
 
 @main.command("constraint")
-@click.option("--omega2", type=float, default=None)
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--N", "n_cap", type=int, required=True)
-@click.option("--parity", type=click.Choice(["even", "odd"]), default="even", show_default=True)
+@_options(_omega2, _lam, _eta, _n_cap, _parity)
 def cmd_constraint(omega2, lam, eta, n_cap, parity):
     """Solve the coupling constraint for the one omitted coupling."""
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
+    idx = QesIndex(n_cap=n_cap, parity=_EPS[parity])
     given = sum(v is not None for v in (omega2, lam, eta))
     if given != 2:
-        _fail(2, "provide exactly two of --omega2, --lambda, --eta")
-    try:
-        sols = params_mod.solve_constraint(idx, omega_sq=omega2, lam=lam, eta=eta)
-    except NoSolutionError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+        raise ValueError("provide exactly two of --omega2, --lambda, --eta")
+    sols = params_mod.solve_constraint(idx, omega_sq=omega2, lam=lam, eta=eta)
     name = "omega2" if omega2 is None else ("lambda" if lam is None else "eta")
     for p in sols:
         r = params_mod.reduce(p)
@@ -268,87 +270,45 @@ def cmd_constraint(omega2, lam, eta, n_cap, parity):
         )
 
 
-def _parse_samples(spec: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(v) for v in spec.split(":"))
-    except ValueError:
-        _fail(2, f"bad sample spec {spec!r}, expected MIN:MAX:STEP")
-    if step <= 0 or hi < lo:
-        return np.empty(0)
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
-
-
 @main.command("export")
-@_coupling_options
-@click.option("--force-general", is_flag=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
+@_options(*_BLOCK, _format(["csv", "json"], "json"))
 @click.option("--samples", default=None, help="Wavefunction sample grid MIN:MAX:STEP.")
-@click.option("--out", type=click.Path(), required=True)
+@_out(required=True)
 def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out):
     """Write the spectrum (and optional wavefunction samples) to a file."""
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
-    p, _ = _resolve_couplings(omega2, lam, eta, idx)
-    spec = _spectrum_for(p, idx, force_general)
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
     records = _state_records(spec)
-    xs = _parse_samples(samples) if samples is not None else None
-    funcs = [wavefunction.Eigenfunction(state=st, reduced=spec.reduced) for st in spec.states]
-
+    if samples is None:
+        _write_output(_json(p, spec, records) if fmt == "json" else _states_csv(records, n_cap), out)
+        return
+    xs = _parse_range(samples, f"bad sample spec {samples!r}, expected MIN:MAX:STEP")
+    psi = [
+        wavefunction.eval_psi(wavefunction.Eigenfunction(state=st, reduced=spec.reduced), xs).tolist()
+        for st in spec.states
+    ]
     if fmt == "json":
-        doc = {
-            "config": _config_dict(p, idx),
-            "constraint": _constraint_dict(p, idx),
-            "states": records,
-        }
-        if xs is not None:
-            doc["samples"] = {
-                "x": [float(v) for v in xs],
-                "psi": [wavefunction.eval_psi(f, xs).tolist() for f in funcs],
-            }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json(p, spec, records, samples={"x": xs.tolist(), "psi": psi})
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        if xs is not None:
-            w.writerow(["x"] + [f"psi_m{st.label}" for st in spec.states])
-            psi = [wavefunction.eval_psi(f, xs).tolist() for f in funcs]
-            for x, row in zip(xs.tolist(), zip(*psi)):
-                w.writerow([repr(x)] + [repr(v) for v in row])
-        else:
-            w.writerow(
-                ["m", "parity", "energy", "nodes", "norm"] + [f"A{i}" for i in range(n_cap + 1)]
-            )
-            for rec in records:
-                w.writerow(
-                    [rec["m"], rec["parity"], repr(rec["energy"]), rec["nodes"], repr(rec["norm"])]
-                    + [repr(c) for c in rec["coefficients"]]
-                )
-        text = buf.getvalue()
+        text = _csv(
+            ["x"] + [f"psi_m{st.label}" for st in spec.states],
+            ([repr(x)] + [repr(v) for v in row] for x, row in zip(xs.tolist(), zip(*psi))),
+        )
     _write_output(text, out)
 
 
 @main.command("verify")
-@_coupling_options
-@click.option("--force-general", is_flag=True)
+@_options(*_BLOCK)
 @click.option("--grid-points", type=int, default=2001, show_default=True)
 @click.option("--half-width", type=float, default=None, help="Override the automatic box size.")
 def cmd_verify(omega2, lam, eta, n_cap, parity, force_general, grid_points, half_width):
     """Check every exact level against the finite-difference spectrum."""
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
-    p, _ = _resolve_couplings(omega2, lam, eta, idx)
-    spec = _spectrum_for(p, idx, force_general)
-    grid = None
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
     if half_width is not None:
         grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
-    elif grid_points != 2001:
+    else:
         e_max = max(st.energy for st in spec.states)
         grid = oracle_mod.default_grid(p, e_max, points=grid_points)
-    try:
-        report = oracle_mod.verify_qes(spec, p, grid)
-    except ConstraintViolationError as exc:
-        _fail(EXIT_CONSTRAINT, str(exc))
-    except VerificationError as exc:
-        _fail(EXIT_VERIFY, str(exc))
+    report = oracle_mod.verify_qes(spec, p, grid)
     n_ok = sum(m.converged for m in report.matches)
     click.echo(f"{n_ok}/{len(report.matches)} matched, max err {report.max_abs_error:.3e}")
     for m in report.matches:
@@ -358,46 +318,37 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, force_general, grid_points, half
             f"err={m.abs_error:.3e}  {flag}"
         )
     if not report.all_matched:
-        sys.exit(EXIT_VERIFY)
+        sys.exit(EXIT_VERIFY)  # the report above names the mismatched levels
 
 
 def _parse_scan(spec: str) -> tuple[str, np.ndarray]:
-    try:
-        name, rng = spec.split("=")
-        lo, hi, step = (float(v) for v in rng.split(":"))
-    except ValueError:
-        _fail(2, f"bad scan spec {spec!r}, expected NAME=START:STOP:STEP")
+    name, _, rng = spec.partition("=")
+    grid = _parse_range(rng, f"bad scan spec {spec!r}, expected NAME=START:STOP:STEP")
     if name not in ("lambda", "eta", "omega2"):
-        _fail(2, f"unknown scan coupling {name!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return name, lo + step * np.arange(max(n, 1))
+        raise ValueError(f"unknown scan coupling {name!r}")
+    return name, grid
 
 
 @main.command("scan")
 @click.option("--scan", "scans", multiple=True, required=True, help="NAME=START:STOP:STEP (1 or 2).")
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--N", "n_cap", type=int, required=True)
-@click.option("--parity", type=click.Choice(["even", "odd"]), default="even", show_default=True)
-@click.option("--force-general", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
+@_options(_lam, _eta, _n_cap, _parity, _force_general, _out())
 def cmd_scan(scans, lam, eta, n_cap, parity, force_general, out):
     """Sweep one or two couplings; omega2 is constraint-solved at each point.
 
     Per-point failures are recorded in the error column and the scan continues.
     """
     if len(scans) > 2:
-        _fail(2, "at most two scan ranges")
-    idx = QesIndex(n_cap=n_cap, parity=_PARITY[parity])
+        raise ValueError("at most two scan ranges")
+    idx = QesIndex(n_cap=n_cap, parity=_EPS[parity])
     axes = [_parse_scan(s) for s in scans]
     fixed = {"lambda": lam, "eta": eta}
     for name, _ in axes:
         if name == "omega2":
-            _fail(2, "omega2 is constraint-solved; scan over lambda and/or eta")
+            raise ValueError("omega2 is constraint-solved; scan over lambda and/or eta")
         fixed.pop(name, None)
     if any(v is None for v in fixed.values()):
         missing = [k for k, v in fixed.items() if v is None]
-        _fail(2, f"missing fixed coupling(s): {', '.join(missing)}")
+        raise ValueError(f"missing fixed coupling(s): {', '.join(missing)}")
 
     grids = [axis[1] for axis in axes]
     names = [axis[0] for axis in axes]
@@ -405,11 +356,7 @@ def cmd_scan(scans, lam, eta, n_cap, parity, force_general, out):
         (u, v) for u in grids[0] for v in grids[1]
     ]
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["lambda", "eta", "omega2"] + [f"E{i}" for i in range(n_cap + 1)] + ["error"]
-    )
+    rows = []
     for point in mesh:
         vals = dict(fixed)
         for name, v in zip(names, point):
@@ -419,10 +366,11 @@ def cmd_scan(scans, lam, eta, n_cap, parity, force_general, out):
             p = params_mod.solve_constraint(idx, omega_sq=None, lam=row_lam, eta=row_eta)[0]
             spec = qes_core.spectrum(params_mod.reduce(p), idx, force_general=force_general)
             energies = [repr(float(st.energy)) for st in spec.states]
-            w.writerow([repr(row_lam), repr(row_eta), repr(p.omega_sq)] + energies + [""])
+            rows.append([repr(row_lam), repr(row_eta), repr(p.omega_sq)] + energies + [""])
         except QesError as exc:
-            w.writerow([repr(row_lam), repr(row_eta), ""] + [""] * (n_cap + 1) + [str(exc)])
-    _write_output(buf.getvalue(), out)
+            rows.append([repr(row_lam), repr(row_eta), ""] + [""] * (n_cap + 1) + [str(exc)])
+    header = ["lambda", "eta", "omega2"] + [f"E{i}" for i in range(n_cap + 1)] + ["error"]
+    _write_output(_csv(header, rows), out)
 
 
 if __name__ == "__main__":

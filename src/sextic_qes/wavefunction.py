@@ -14,14 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import WeightMismatchError
+from .errors import SolverError, WeightMismatchError
 from .params import ReducedParams
 from .qes_core import QesState
 
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """A QES eigenfunction; b > 0 makes it normalizable."""
+    """A QES eigenfunction; b > 0 makes it normalizable.
+
+    norm_constant, when set, multiplies psi and its derivatives.
+    """
 
     state: QesState
     reduced: ReducedParams
@@ -82,10 +85,15 @@ def _poly_in_x(f: Eigenfunction) -> np.ndarray:
     return y
 
 
+def _scaled(f: Eigenfunction, y):
+    """y times f.norm_constant, when f carries one."""
+    return y if f.norm_constant is None else f.norm_constant * y
+
+
 def _psi_over_weight(f: Eigenfunction, x: np.ndarray):
-    """x^eps * sum A_n t^n with t = x^2, by Horner in t."""
+    """x^eps * sum A_n t^n with t = x^2, by Horner in t (times norm_constant, if set)."""
     poly = _horner(f.state.coeffs, x * x)
-    return x * poly if f.state.parity else poly
+    return _scaled(f, x * poly if f.state.parity else poly)
 
 
 def eval_psi(f: Eigenfunction, x) -> np.ndarray:
@@ -95,7 +103,8 @@ def eval_psi(f: Eigenfunction, x) -> np.ndarray:
 
 
 def _second_derivative_over_weight(f: Eigenfunction, x: np.ndarray):
-    """psi''/W, a polynomial in x of the parity of psi, from the product rule."""
+    """psi''/W, a polynomial in x of the parity of psi, from the product rule
+    (times norm_constant, if set)."""
     a, b = f.reduced.a, f.reduced.b
     y = _poly_in_x(f)
     yp = _derivative(y)
@@ -109,7 +118,7 @@ def _second_derivative_over_weight(f: Eigenfunction, x: np.ndarray):
     )
     # the degrees of the other parity hold zeros, unless a coefficient is not
     # finite (inf * 0 puts NaN there): then the full sum keeps the NaN
-    return _horner(q, x, step=1 if q[-2::-2].any() else 2)
+    return _scaled(f, _horner(q, x, step=1 if q[-2::-2].any() else 2))
 
 
 def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
@@ -184,7 +193,11 @@ def count_positive_roots(coeffs: np.ndarray) -> int:
 
 
 def _positive_roots(coeffs: np.ndarray) -> list[float]:
-    """Isolate and bisect the positive real roots of the t-polynomial."""
+    """Isolate and bisect the positive real roots of the t-polynomial.
+
+    Raises SolverError where rounding in the Sturm chain makes the roots
+    inseparable, which would otherwise halve the same interval forever.
+    """
     coeffs = _trimmed(coeffs)
     if len(coeffs) <= 1:
         return []
@@ -210,6 +223,9 @@ def _positive_roots(coeffs: np.ndarray) -> list[float]:
         n = variations_at(lo) - variations_at(hi)
         if n == 0:
             continue
+        if n < 0:
+            # rounding in the chain; no halving can clear a negative count
+            raise SolverError(f"node count failed: Sturm count {n} for t = x^2 in [{lo!r}, {hi!r}]")
         if n == 1:
             flo = _value(cs, lo)
             for _ in range(200):
@@ -227,13 +243,19 @@ def _positive_roots(coeffs: np.ndarray) -> list[float]:
             roots.append(0.5 * (lo + hi))
             continue
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise SolverError(f"node count failed: {n} roots inseparable in t = x^2 in [{lo!r}, {hi!r}]")
         stack.append((lo, mid))
         stack.append((mid, hi))
     return sorted(roots)
 
 
 def count_nodes(f: Eigenfunction) -> NodeReport:
-    """Nodes of psi on the whole line: 2 per positive t-root, plus x=0 if odd."""
+    """Nodes of psi on the whole line: 2 per positive t-root, plus x=0 if odd.
+
+    Raises SolverError when rounding in the Sturm chain leaves the roots
+    inseparable (seen from N = 40).
+    """
     eps = f.state.parity
     t_roots = _positive_roots(f.state.coeffs)
     locations = [0.0] * eps + [math.sqrt(t) for t in t_roots]
@@ -292,6 +314,11 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
 
 
 def normalized(f: Eigenfunction) -> Eigenfunction:
-    """Copy of f with norm_constant set so that norm_constant^2 * <f, f> = 1."""
+    """Copy of f with norm_constant set so that it has unit norm.
+
+    The constant multiplies psi in every evaluation; an f that already carries
+    one is rescaled from it.
+    """
+    scale = 1.0 if f.norm_constant is None else f.norm_constant
     n2 = norm_and_inner(f, f)
-    return Eigenfunction(state=f.state, reduced=f.reduced, norm_constant=1.0 / math.sqrt(n2))
+    return Eigenfunction(state=f.state, reduced=f.reduced, norm_constant=scale / math.sqrt(n2))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,3 +29,21 @@ def random_ab(rng, n, a_lo=0.05, a_hi=3.0, b_lo=0.05, b_hi=3.0):
     a = rng.uniform(a_lo, a_hi, n)
     b = rng.uniform(b_lo, b_hi, n)
     return np.column_stack([a, b])
+
+
+def run_python(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter that imports this checkout's package.
+
+    The timeout turns a hang into a test failure instead of a stalled suite.
+    """
+    import sextic_qes
+
+    src_dir = str(Path(sextic_qes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )

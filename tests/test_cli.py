@@ -1,18 +1,25 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import sextic_qes
-from sextic_qes import Eigenfunction, QesIndex, eval_psi, reduce, solve_constraint, spectrum
-from sextic_qes.cli import main
+from sextic_qes import (
+    Eigenfunction,
+    QesIndex,
+    count_nodes,
+    eval_psi,
+    norm_and_inner,
+    reduce,
+    solve_constraint,
+    spectrum,
+)
+from sextic_qes.cli import _parse_range, main
+
+from conftest import run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -303,11 +310,147 @@ assert not loaded, loaded
 main(["verify", *block, "--grid-points", "4001"], standalone_mode=False)
 assert "scipy.linalg" in sys.modules
 """
-    src_dir = str(Path(sextic_qes.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-    )
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert "4/4 matched" in result.stdout
+
+
+PAPER_BLOCK = ["--lambda", "0.5", "--eta", "0.03", "--N", "3"]
+
+# documented failures: each ends in its exit code and one error line, never a traceback
+BAD_INPUTS = [
+    (["spectrum", "--lambda", "1", "--eta", "-1", "--N", "2"], 2),
+    (["spectrum", "--omega2", "1", "--lambda", "1", "--eta", "-1", "--N", "2"], 2),
+    (["constraint", "--lambda", "1", "--eta", "-1", "--N", "2"], 2),
+    (["spectrum", "--lambda", "0.5", "--eta", "0.03", "--N", "-1"], 2),
+    (["verify", *PAPER_BLOCK, "--grid-points", "100"], 2),
+    (["verify", *PAPER_BLOCK, "--grid-points", "2000"], 2),
+    (["verify", *PAPER_BLOCK, "--half-width", "-1"], 2),
+    (["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "60", "--grid-points", "201"], 2),
+    (["scan", "--scan", "lambda=0.1:1:0", "--eta", "0.03", "--N", "1"], 2),
+    (["export", *PAPER_BLOCK, "--samples", "0:1:0", "--out", "x.csv"], 2),
+    (["export", *PAPER_BLOCK, "--samples", "0:1:nan", "--out", "x.csv"], 2),
+    (["table", "--lambda", "-3", "--eta", "0.001", "--N", "20"], 4),  # NonEigenvalueError
+    (["constraint", "--omega2", "-100", "--eta", "0.03", "--N", "0"], 4),  # NoSolutionError
+    (["spectrum", "--omega2", "0.1", *PAPER_BLOCK], 3),
+    (["table", *PAPER_BLOCK, "--out", "missing-dir/x.txt"], 6),
+]
+
+
+@pytest.mark.parametrize("args, code", BAD_INPUTS)
+def test_bad_input_exits_with_its_code(runner, tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)  # nothing escaped as a traceback
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
+    assert len(errors) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "export"])
+def test_node_count_failure_exits_4(tmp_path, command):
+    # rounding in the Sturm chain makes this block's node counts impossible;
+    # the subprocess turns a hang into a failure
+    out = ["--out", str(tmp_path / "spec.json")] if command == "export" else []
+    result = run_python("-m", "sextic_qes.cli", command, "--lambda", "0.5", "--eta", "0.03", "--N", "40", *out)
+    assert result.returncode == 4
+    assert result.stderr.startswith("error: node count failed")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("0:1:0.25", [0.0, 0.25, 0.5, 0.75, 1.0]),
+        ("1:0:-0.5", [1.0, 0.5, 0.0]),
+        ("2:2:1", [2.0]),
+        ("1:0:0.5", []),
+        ("0:1:-0.5", []),
+    ],
+)
+def test_range_rule(text, points):
+    assert _parse_range(text, "bad range").tolist() == points
+
+
+@pytest.mark.parametrize(
+    "text", ["0:1:0", "0:1:nan", "0:1:inf", "0:1:-inf", "nan:1:1", "0:inf:1", "-1e308:1e308:1e-300", "0:1", "a:b:c"]
+)
+def test_range_rule_rejects(text):
+    with pytest.raises(ValueError, match="^bad range$"):
+        _parse_range(text, "bad range")
+
+
+def test_scan_empty_range_prints_header_only(runner):
+    # a range that runs against its STEP has no points
+    result = runner.invoke(main, ["scan", "--scan", "lambda=1:0:0.1", "--eta", "0.03", "--N", "1"])
+    assert result.exit_code == 0
+    assert result.stdout == "lambda,eta,omega2,E0,E1,error\n"
+
+
+def test_scan_negative_step(runner):
+    result = runner.invoke(main, ["scan", "--scan", "lambda=1:0.1:-0.1", "--eta", "0.03", "--N", "1"])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(result.stdout.splitlines()))
+    assert [float(r["lambda"]) for r in rows] == (1.0 - 0.1 * np.arange(10)).tolist()
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_export_descending_samples(runner, tmp_path):
+    # a negative STEP runs downwards
+    out = tmp_path / "samples.csv"
+    result = runner.invoke(
+        main, ["export", *PAPER_BLOCK, "--format", "csv", "--samples", "1:0:-0.1", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    xs = [float(row[0]) for row in list(csv.reader(out.read_text().splitlines()))[1:]]
+    assert xs == (1.0 - 0.1 * np.arange(11)).tolist()
+
+
+@pytest.mark.parametrize(
+    "lam, eta, n, parity", [("0.5", "0.03", 3, "even"), ("-0.6", "0.05", 3, "odd"), ("1.0", "0.1", 5, "even")]
+)
+def test_outputs_carry_library_values(runner, tmp_path, lam, eta, n, parity):
+    # every number round-trips to the bits the library computes in this process
+    idx = QesIndex(n, 0 if parity == "even" else 1)
+    spec = spectrum(reduce(solve_constraint(idx, lam=float(lam), eta=float(eta))[0]), idx)
+    expect = []
+    for st in spec.states:
+        f = Eigenfunction(state=st, reduced=spec.reduced)
+        expect.append(
+            {
+                "m": st.label,
+                "energy": st.energy,
+                "coefficients": [float(c) for c in st.coeffs],
+                "nodes": count_nodes(f).count,
+                "norm": math.sqrt(norm_and_inner(f, f)),
+            }
+        )
+    block = ["--lambda", lam, "--eta", eta, "--N", str(n), "--parity", parity]
+
+    text = runner.invoke(main, ["spectrum", *block, "--format", "json"]).stdout
+    assert [{k: s[k] for k in expect[0]} for s in json.loads(text)["states"]] == expect
+    runner.invoke(main, ["export", *block, "--out", str(tmp_path / "spec.json")])
+    assert (tmp_path / "spec.json").read_text() == text
+
+    text = runner.invoke(main, ["spectrum", *block, "--format", "csv"]).stdout
+    rows = [
+        {
+            "m": int(r["m"]),
+            "energy": float(r["energy"]),
+            "coefficients": [float(r[f"A{i}"]) for i in range(n + 1)],
+            "nodes": int(r["nodes"]),
+            "norm": float(r["norm"]),
+        }
+        for r in csv.DictReader(text.splitlines())
+    ]
+    assert rows == expect
+    runner.invoke(main, ["export", *block, "--format", "csv", "--out", str(tmp_path / "spec.csv")])
+    assert (tmp_path / "spec.csv").read_text() == text
+
+    table = csv.DictReader(runner.invoke(main, ["table", *block, "--format", "csv"]).stdout.splitlines())
+    assert [[float(r[f"A{i}"]) for i in range(1, n + 1)] + [float(r["E"])] for r in table] == [
+        e["coefficients"][1:] + [e["energy"]] for e in expect
+    ]

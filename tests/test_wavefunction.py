@@ -12,6 +12,9 @@ from sextic_qes import (
     ReducedParams,
     WeightMismatchError,
     count_nodes,
+    reduce,
+    solve_constraint,
+    spectrum,
     eval_psi,
     norm_and_inner,
     normalized,
@@ -26,7 +29,7 @@ from sextic_qes.wavefunction import (
     psi_second_derivative,
 )
 
-from conftest import random_ab
+from conftest import random_ab, run_python
 
 
 def reduced(a, b, idx):
@@ -301,3 +304,42 @@ def test_weight_mismatch_rejected():
     f2, _ = eigenfunctions(1.1, 0.5, 0, 0)
     with pytest.raises(WeightMismatchError):
         norm_and_inner(f1[0], f2[0])
+
+
+def test_normalized_eigenfunction_evaluates_normalized():
+    # lambda = 0.5, eta = 0.03, N = 3: <f, f> = 2.64 at m = 1 before scaling
+    idx = QesIndex(3, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
+    f1 = Eigenfunction(state=s.states[1], reduced=s.reduced)
+    assert norm_and_inner(f1, f1) == pytest.approx(2.6355, rel=1e-4)
+    xs = np.linspace(-6.0, 6.0, 241)
+    ulps = 4 * np.finfo(float).eps  # k (P W) against (k P) W
+    for st in s.states:
+        f = Eigenfunction(state=st, reduced=s.reduced)
+        g = normalized(f)
+        k = g.norm_constant
+        assert norm_and_inner(g, g) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(eval_psi(g, xs), k * eval_psi(f, xs), rtol=ulps, atol=0)
+        np.testing.assert_allclose(
+            psi_second_derivative(g, xs), k * psi_second_derivative(f, xs), rtol=ulps, atol=0
+        )
+        assert normalized(g).norm_constant == pytest.approx(k, rel=1e-12)
+
+
+def test_node_count_fails_instead_of_hanging():
+    # at N = 40 rounding in the Sturm chain gives state 37 an interval with a
+    # negative root count, which no halving clears; the subprocess turns a
+    # hang into a failure
+    code = """
+from sextic_qes import Eigenfunction, QesIndex, SolverError, count_nodes, reduce, solve_constraint, spectrum
+
+idx = QesIndex(40, 0)
+s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
+try:
+    count_nodes(Eigenfunction(state=s.states[37], reduced=s.reduced))
+except SolverError as exc:
+    print(exc)
+"""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("node count failed: Sturm count -")
