@@ -277,7 +277,7 @@ def cmd_constraint(omega2, lam, eta, n_cap, parity):
 def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out):
     """Write the spectrum (and optional wavefunction samples) to a file."""
     p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
-    records = _state_records(spec)
+    records = _state_records(spec, with_nodes=samples is None or fmt == "json")  # CSV samples omit them
     if samples is None:
         _write_output(_json(p, spec, records) if fmt == "json" else _states_csv(records, n_cap), out)
         return

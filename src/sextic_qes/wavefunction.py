@@ -8,7 +8,6 @@ never by finite differences; numeric differentiation appears only in tests.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import SolverError, WeightMismatchError
 from .params import ReducedParams
-from .qes_core import QesState
+from .qes_core import QesState, _cubic_real_roots
 
 
 @dataclass(frozen=True)
@@ -145,119 +144,77 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# node counting via Sturm sequences on the polynomial in t = x^2
+# node counting by sign changes of the polynomial in t = x^2
 
 
-def _trimmed(coeffs) -> np.ndarray:
-    """The coefficients without trailing zeros, as np.trim_zeros(c, "b") gives them."""
-    c = np.asarray(coeffs, dtype=float)
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if nonzero.size else c[:0]
+def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
+    """(x_t, k_max): the outer turning point, where 2E = V2, and sqrt(2E - min V2) on [0, x_t].
 
-
-def _sturm_chain(p0: np.ndarray) -> list[list[float]]:
-    """Sturm sequence of a trimmed polynomial, each member as Python floats."""
-    chain = [p0, _derivative(p0)]
-    while len(chain[-1]) > 1:
-        _, rem = npoly.polydiv(chain[-2], chain[-1])
-        rem = _trimmed(rem)
-        scale = float(np.max(np.abs(chain[-2])))
-        if rem.size == 0 or np.max(np.abs(rem)) < 1e-13 * max(1.0, scale):
-            warnings.warn("Sturm sequence degenerated: polynomial has a multiple root")
-            break
-        chain.append(-rem)
-    return [p.tolist() for p in chain]
-
-
-def _variations_at(chain: list[list[float]], t: float) -> int:
-    signs = []
-    for cs in chain:
-        v = _value(cs, t)
-        if v != 0.0:
-            signs.append(math.copysign(1.0, v))
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
-def _variations_at_inf(chain: list[list[float]]) -> int:
-    signs = [math.copysign(1.0, cs[-1]) for cs in chain if cs]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
-def count_positive_roots(coeffs: np.ndarray) -> int:
-    """Exact number of distinct roots of the t-polynomial on (0, inf)."""
-    coeffs = _trimmed(coeffs)
-    if len(coeffs) <= 1:
-        return 0
-    chain = _sturm_chain(coeffs)
-    return _variations_at(chain, 0.0) - _variations_at_inf(chain)
-
-
-def _positive_roots(coeffs: np.ndarray) -> list[float]:
-    """Isolate and bisect the positive real roots of the t-polynomial.
-
-    Raises SolverError where rounding in the Sturm chain makes the roots
-    inseparable, which would otherwise halve the same interval forever.
+    Every node of a bound state lies inside x_t, and by Sturm comparison with
+    y'' + k_max^2 y = 0 two nodes are at least pi/k_max apart.
     """
-    coeffs = _trimmed(coeffs)
-    if len(coeffs) <= 1:
-        return []
-    chain = _sturm_chain(coeffs)
-    variations: dict[float, int] = {}  # bisection points recur as interval ends
+    r, two_e = f.reduced, 2.0 * f.state.energy
+    w2, lam, eta = r.omega_sq(), r.lam, r.eta
+    # in t = x^2, V2 = w2 t + lam t^2/2 + eta t^3/3
+    t_turn = max(0.0, *_cubic_real_roots(1.5 * lam / eta, 3.0 * w2 / eta, -3.0 * two_e / eta))
+    # V2 is least at the larger root of dV2/dt = w2 + lam t + eta t^2, in the form that does not cancel
+    d = lam * lam - 4.0 * eta * w2
+    t_min = 0.0
+    if d > 0.0:
+        s = math.sqrt(d)
+        t_min = -2.0 * w2 / (lam + s) if lam > 0.0 else (s - lam) / (2.0 * eta)
+    t_min = min(max(t_min, 0.0), t_turn)
+    v_min = min(0.0, t_min * (w2 + t_min * (0.5 * lam + t_min * eta / 3.0)))
+    return math.sqrt(t_turn), math.sqrt(max(0.0, two_e - v_min))
 
-    def variations_at(t: float) -> int:
-        v = variations.get(t)
-        if v is None:
-            v = variations[t] = _variations_at(chain, t)
-        return v
 
-    if variations_at(0.0) - _variations_at_inf(chain) == 0:
-        return []
+def _positive_roots(f: Eigenfunction) -> list[float]:
+    """The roots t = x^2 of p(t) = sum A_n t^n inside the turning point, ascending.
+
+    Samples three to a node spacing pi/k_max leave at most one node between
+    two of them, even with one sample dropped.  A sample with |p| within
+    Horner's rounding bound (N+1) eps sum |A_n| t^n (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 5.1) has no known sign: alone it
+    is dropped, as it may be a root; two adjacent ones mean p is rounding noise
+    there, and raise SolverError.  Each sign change is bisected until lo and hi
+    are adjacent doubles.
+    """
+    coeffs = f.state.coeffs
+    x_t, k_max = _allowed_region(f)
+    xs = np.linspace(0.0, x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
+    t = xs * xs
+    p = _horner(coeffs, t)
+    unknown = np.abs(p) <= len(coeffs) * np.finfo(float).eps * _horner(np.abs(coeffs), t)
+    noise = np.flatnonzero(unknown[1:] & unknown[:-1])
+    if noise.size:
+        raise SolverError(
+            f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
+            f"inside the turning point {x_t!r}"
+        )
+    t, neg = t[~unknown], np.signbit(p[~unknown])
     cs = coeffs.tolist()
-    # Cauchy bound on root magnitudes
-    bound = 1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(cs[-1])
-
-    roots: list[float] = []
-    stack = [(0.0, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        n = variations_at(lo) - variations_at(hi)
-        if n == 0:
-            continue
-        if n < 0:
-            # rounding in the chain; no halving can clear a negative count
-            raise SolverError(f"node count failed: Sturm count {n} for t = x^2 in [{lo!r}, {hi!r}]")
-        if n == 1:
-            flo = _value(cs, lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = _value(cs, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < 1e-14 * max(1.0, hi):
-                    break
-            roots.append(0.5 * (lo + hi))
-            continue
+    roots = []
+    for i in np.flatnonzero(neg[1:] != neg[:-1]).tolist():
+        lo, hi, lo_neg = float(t[i]), float(t[i + 1]), bool(neg[i])
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise SolverError(f"node count failed: {n} roots inseparable in t = x^2 in [{lo!r}, {hi!r}]")
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(roots)
+        while lo < mid < hi:
+            if (_value(cs, mid) < 0.0) == lo_neg:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        roots.append(mid)
+    return roots
 
 
 def count_nodes(f: Eigenfunction) -> NodeReport:
-    """Nodes of psi on the whole line: 2 per positive t-root, plus x=0 if odd.
+    """Nodes of psi on the whole line: 2 per root t = x^2 inside the turning point, plus x=0 if odd.
 
-    Raises SolverError when rounding in the Sturm chain leaves the roots
-    inseparable (seen from N = 40).
+    Raises SolverError where rounding hides the sign of psi inside the
+    allowed region (seen from N = 25 at a >= 0).
     """
     eps = f.state.parity
-    t_roots = _positive_roots(f.state.coeffs)
+    t_roots = _positive_roots(f)
     locations = [0.0] * eps + [math.sqrt(t) for t in t_roots]
     return NodeReport(count=2 * len(t_roots) + eps, locations=locations)
 

@@ -351,14 +351,35 @@ def test_bad_input_exits_with_its_code(runner, tmp_path, monkeypatch, args, code
 
 @pytest.mark.parametrize("command", ["spectrum", "export"])
 def test_node_count_failure_exits_4(tmp_path, command):
-    # rounding in the Sturm chain makes this block's node counts impossible;
-    # the subprocess turns a hang into a failure
+    # rounding hides the sign of the top states' polynomials inside their
+    # turning points; the subprocess turns a hang into a failure
     out = ["--out", str(tmp_path / "spec.json")] if command == "export" else []
     result = run_python("-m", "sextic_qes.cli", command, "--lambda", "0.5", "--eta", "0.03", "--N", "40", *out)
     assert result.returncode == 4
     assert result.stderr.startswith("error: node count failed")
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
+
+
+def test_spectrum_counts_no_node_beyond_the_turning_point(runner):
+    # Sturm sequences counted a sign change of the float polynomial at
+    # x = 14.6, where psi = -1e-261, and printed nodes=2 for the ground state
+    result = runner.invoke(main, ["spectrum", "--lambda", "0.25", "--eta", "0.001", "--N", "9"])
+    assert result.exit_code == 0
+    nodes = [line.split("nodes=")[1].split()[0] for line in result.stdout.splitlines()[1:]]
+    assert nodes == [str(2 * m) for m in range(10)]
+
+
+def test_export_csv_samples_need_no_node_counts(runner, tmp_path):
+    # the sample file holds no node counts, so a block whose top states'
+    # counts fail (N = 40) still exports its samples
+    out = tmp_path / "s.csv"
+    args = ["export", "--lambda", "0.5", "--eta", "0.03", "--N", "40", "--format", "csv", "--samples", "0:1:0.5"]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["x"] + [f"psi_m{m}" for m in range(41)]
+    assert [row[0] for row in rows[1:]] == ["0.0", "0.5", "1.0"]
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,15 @@
 
 Hypothesis checks the kernels against numpy.polynomial directly.  Frozen
 copies of the former numpy.polynomial-based functions then pin every output
-of the evaluation, node-counting and recurrence paths, NaN-aware, at large N,
-both parities and both signs of a.
+of the evaluation and recurrence paths, NaN-aware, at large N, both parities
+and both signs of a.  Node counts equal the former Sturm counts, and node
+locations lie within their rounding bound of the mpmath roots of the same
+float polynomial.
 """
 
 import math
-import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -31,10 +33,9 @@ from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     _derivative,
     _horner,
-    _trimmed,
+    _positive_roots,
     _value,
     count_nodes,
-    count_positive_roots,
     eval_psi,
     integration_cutoff,
     norm_and_inner,
@@ -108,12 +109,6 @@ def test_derivative_is_polyder(cs):
     c = np.array(cs)
     with np.errstate(all="ignore"):
         assert identical(_derivative(c), npoly.polyder(c))
-
-
-@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, math.nan]), max_size=6))
-def test_trimmed_is_trim_zeros(cs):
-    c = np.array(cs, dtype=float)
-    assert same(_trimmed(c), np.trim_zeros(c, "b"))
 
 
 def test_derivative_of_a_constant_is_zero():
@@ -308,16 +303,33 @@ def test_evaluation_keeps_former_bits(n):
             assert same(psi * psi, _former_eval_psi(f, xs) * _former_eval_psi(f, xs))
 
 
+def mp_root_error(coeffs, t: float) -> float:
+    """|t - the mpmath root of the float polynomial nearest t| over its rounding bound.
+
+    The bound is (N+1) u sum |A_n| t^n / |p'(t)| + 2 ulp(t): Horner's error
+    bound (Higham 2002, 5.1) over the slope, plus the rounding of t itself.
+    """
+    with mpmath.workdps(60):
+        cs = [mpmath.mpf(float(c)) for c in coeffs[::-1]]  # exact, high-to-low
+        root = mpmath.findroot(lambda x: mpmath.polyval(cs, x), mpmath.mpf(t))
+        abs_sum = mpmath.polyval([abs(c) for c in cs], root)
+        _, slope = mpmath.polyval(cs, root, derivative=True)
+        u = np.finfo(float).eps / 2
+        bound = len(coeffs) * u * abs_sum / abs(slope) + 2 * np.spacing(t)
+        return float(abs(t - root) / bound)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])  # the former code takes ~1 s at N = 14
 def test_node_counts_keep_former_bits(n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # multiple-root warnings of degenerate chains
-        for _, s in blocks([n]):
-            for state in s.states:
-                f = Eigenfunction(state=state, reduced=s.reduced)
-                report = count_nodes(f)
-                assert (report.count, report.locations) == _former_count_nodes(f)
-                assert count_positive_roots(state.coeffs) == _former_count_positive_roots(state.coeffs)
+    for _, s in blocks([n]):
+        for state in s.states:
+            f = Eigenfunction(state=state, reduced=s.reduced)
+            report = count_nodes(f)
+            assert report.count == _former_count_nodes(f)[0]
+            t_roots = _positive_roots(f)
+            assert report.locations == [0.0] * state.parity + [math.sqrt(t) for t in t_roots]
+            for t in t_roots:
+                assert mp_root_error(state.coeffs, t) <= 1.0
 
 
 def outcome(fn, *args):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -9,7 +11,9 @@ from sextic_qes import (
     Eigenfunction,
     NonEigenvalueError,
     QesIndex,
+    QesError,
     ReducedParams,
+    SolverError,
     WeightMismatchError,
     count_nodes,
     reduce,
@@ -23,11 +27,7 @@ from sextic_qes import (
     spectrum_general,
 )
 from sextic_qes.qes_core import QesState, closure_reduced
-from sextic_qes.wavefunction import (
-    count_positive_roots,
-    integration_cutoff,
-    psi_second_derivative,
-)
+from sextic_qes.wavefunction import integration_cutoff, psi_second_derivative
 
 from conftest import random_ab, run_python
 
@@ -150,13 +150,6 @@ def test_n0_flessas_residual_is_zero():
 # nodes
 
 
-def test_count_positive_roots_simple():
-    # (t-1)(t-2) = 2 - 3t + t^2
-    assert count_positive_roots(np.array([2.0, -3.0, 1.0])) == 2
-    # t + 1 has no positive root
-    assert count_positive_roots(np.array([1.0, 1.0])) == 0
-
-
 def test_node_counts_table1():
     funcs, _ = eigenfunctions(1.25, 0.1, 3, 0)
     assert [count_nodes(f).count for f in funcs] == [0, 2, 4, 6]
@@ -193,6 +186,59 @@ def test_node_ordering_law(rng):
                 funcs, _ = eigenfunctions(a, b, n, eps)
                 counts = [count_nodes(f).count for f in funcs]
                 assert counts == [2 * m + eps for m in range(n + 1)]
+
+
+def support_grid(r, degree, points=2001):
+    """Half-line grid out to where |x|^degree W(x) has fallen below 1e-16 of its peak."""
+
+    def log_env(x):
+        return degree * math.log(x) - 0.5 * r.a * x * x - 0.25 * r.b * x**4
+
+    x_peak = math.sqrt(max(0.0, (-r.a + math.sqrt(r.a * r.a + 4.0 * r.b * degree)) / (2.0 * r.b)))
+    top = log_env(x_peak) if x_peak > 0.0 else 0.0
+    half = max(2.0 * x_peak, 1.0)
+    while log_env(half) > top + math.log(1e-16):
+        half *= 1.25
+    return np.linspace(0.0, half, points)
+
+
+def block(lam, eta, n, eps):
+    idx = QesIndex(n, eps)
+    s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+    return [Eigenfunction(state=st, reduced=s.reduced) for st in s.states]
+
+
+@given(
+    st.floats(-1.5, 1.5),
+    st.floats(-3.0, 0.5),
+    st.integers(0, 16),
+    st.integers(0, 1),
+)
+@example(0.25, -3.0, 9, 0)  # Sturm counted a sign change of the float polynomial at x = 14.6
+def test_resolved_states_obey_the_node_law(lam, log_eta, n, eps):
+    try:
+        funcs = block(lam, 10.0**log_eta, n, eps)
+    except QesError:
+        return  # no spectrum at these couplings: nothing to count
+    xs = support_grid(funcs[0].reduced, 2 * n + eps)
+    for m, f in enumerate(funcs):
+        with np.errstate(all="ignore"):
+            if not _ode_certificate(f, xs) <= 1e-9:
+                continue  # rounding limits the coefficients, not the count
+        assert count_nodes(f).count == 2 * m + eps
+
+
+@pytest.mark.parametrize("lam, eta", [(0.0, 0.1), (1.5, 1.0), (0.5, 0.03)])
+def test_large_n_counts_obey_the_node_law_or_raise(lam, eta):
+    # from N ~ 25 rounding hides the sign of the top states' polynomials;
+    # Sturm sequences printed wrong counts here (at the first two couplings)
+    for n in (28, 30, 40):
+        for eps in (0, 1):
+            for m, f in enumerate(block(lam, eta, n, eps)):
+                try:
+                    assert count_nodes(f).count == 2 * m + eps
+                except SolverError:
+                    assert m >= 25  # the low states are resolved and must be counted
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +373,9 @@ def test_normalized_eigenfunction_evaluates_normalized():
 
 
 def test_node_count_fails_instead_of_hanging():
-    # at N = 40 rounding in the Sturm chain gives state 37 an interval with a
-    # negative root count, which no halving clears; the subprocess turns a
-    # hang into a failure
+    # at N = 40 rounding hides the sign of state 37's polynomial inside its
+    # turning point; Sturm sequences looped forever there, and the subprocess
+    # turns a hang into a failure
     code = """
 from sextic_qes import Eigenfunction, QesIndex, SolverError, count_nodes, reduce, solve_constraint, spectrum
 
@@ -342,4 +388,4 @@ except SolverError as exc:
 """
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("node count failed: Sturm count -")
+    assert result.stdout.startswith("node count failed: rounding hides the sign of psi")
