@@ -298,10 +298,13 @@ def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out
 
 @main.command("verify")
 @_options(*_BLOCK)
-@click.option("--grid-points", type=int, default=2001, show_default=True)
+@click.option(
+    "--grid-points", type=int, default=2001, show_default=True,
+    help="Most points on [-L, L] the oracle may use.",
+)
 @click.option("--half-width", type=float, default=None, help="Override the automatic box size.")
 def cmd_verify(omega2, lam, eta, n_cap, parity, force_general, grid_points, half_width):
-    """Check every exact level against the finite-difference spectrum."""
+    """Check every exact level against the sinc-collocation spectrum."""
     p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
     if half_width is not None:
         grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
@@ -311,6 +314,10 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, force_general, grid_points, half
     report = oracle_mod.verify_qes(spec, p, grid)
     n_ok = sum(m.converged for m in report.matches)
     click.echo(f"{n_ok}/{len(report.matches)} matched, max err {report.max_abs_error:.3e}")
+    click.echo(
+        f"  box L={report.half_width:.6f}, {report.points} points, "
+        f"max convergence estimate {max(report.convergence_estimate):.3e}"
+    )
     for m in report.matches:
         flag = "ok" if m.converged else "MISMATCH"
         click.echo(

@@ -1,10 +1,12 @@
-"""Independent finite-difference verification of the exact spectra.
+"""Independent sinc-collocation verification of the exact spectra.
 
-Discretizes -psi'' + (w2 x^2 + lam x^4/2 + eta x^6/3) psi = 2E psi with
-second-order central differences, Dirichlet walls at +-L, solved on the half
-line [0, L] with a Neumann (even) or Dirichlet (odd) condition at the origin.
-Eigenvalues from grids h and h/2 are Richardson-extrapolated (the scheme is
-O(h^2), so the combination (4 E_fine - E_coarse)/3 cancels the leading error).
+Discretizes -psi'' + (w2 x^2 + lam x^4/2 + eta x^6/3) psi = 2E psi by sinc
+collocation on x_j = j h, |j| <= n, h = L/n (Weideman & Reddy, ACM TOMS 26,
+2000), reduced by parity to the half line j = 0..n and solved densely.  The
+eigenfunctions are entire and decay like exp(-b x^4/4), so the levels converge
+exponentially in n (Trefethen & Weideman, SIAM Rev. 56, 2014); the grid grows
+until two sizes agree.  The box [-L, L] is sized by the degree of the
+polynomial prefactor, so even the top state of a block has decayed there.
 """
 
 from __future__ import annotations
@@ -13,18 +15,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintViolationError, VerificationError
-from .params import CouplingParams, constraint_gamma, reduce
+from .params import CouplingParams, ReducedParams, constraint_gamma, reduce
 from .qes_core import QesSpectrum
 
-MATCH_TOL = 1e-5       # grid-limited agreement target after extrapolation
+MATCH_TOL = 1e-5       # agreement target; the solve itself converges to ~1e-12
 _UNMATCHED_TOL = 1e-2  # beyond this the level is simply absent from the spectrum
+SUPPORT_TOL = 1e-16    # |x|^degree W(x) at the wall, relative to its peak
+_SUPPORT_MARGIN = 1.2  # the top states from N ~ 80 need more than the 1e-16 width
+_CONVERGED = 1e-9      # |E(1.5 n) - E(n)| / max(1, |E|) that ends the refinement
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric grid on [-L, L] with an odd number of points (x=0 on-grid)."""
+    """Box [-L, L] and the most points (odd, x=0 on-grid) the sinc grid may use."""
 
     half_width: float
     points: int = 2001
@@ -52,8 +58,13 @@ class Match:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """The oracle's lowest levels, each with |E(fine) - E(coarse)|, on the box
+    [-half_width, half_width] with `points` (2n + 1) sinc points."""
+
     eigenvalues: list[float]
-    richardson_estimate: list[float]
+    convergence_estimate: list[float]
+    half_width: float
+    points: int
     matches: list[Match] = field(default_factory=list)
 
     @property
@@ -71,56 +82,108 @@ def potential_value(p: CouplingParams, x: float | np.ndarray) -> float | np.ndar
     return 0.5 * p.omega_sq * x2 + 0.25 * p.lam * x2 * x2 + p.eta * x2 * x2 * x2 / 6.0
 
 
-def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpec:
-    """Half-width covering the turning region with a decayed tail.
+def support_half_width(r: ReducedParams, degree: float) -> float:
+    """L beyond the peak of |x|^degree exp(-a x^2/2 - b x^4/4) where it has
+    fallen to SUPPORT_TOL of its peak.
 
-    Requires both V(L) >= e_max + 25 and a L^2/2 + b L^4/4 >= 40, so the
-    asymptotic factor exp(-a x^2/2 - b x^4/4) is ~1e-17 at the wall; the
-    potential criterion alone leaves a truncation error above the 1e-5 target.
+    In t = x^2 the log of the envelope, f(t) = (degree/2) ln t - a t/2 - b t^2/4,
+    is concave, so Newton's method started right of the crossing
+    f(t) = f(t_peak) + ln SUPPORT_TOL decreases monotonically onto it.
+    """
+    a, b, d = r.a, r.b, degree
+
+    def f(t: float) -> float:
+        return (0.5 * d * math.log(t) if d else 0.0) - 0.5 * a * t - 0.25 * b * t * t
+
+    t_peak = (-a + math.sqrt(a * a + 4.0 * b * d)) / (2.0 * b)
+    target = (f(t_peak) if t_peak > 0.0 else 0.0) + math.log(SUPPORT_TOL)
+    t = max(2.0 * t_peak, 1.0)
+    while f(t) > target:
+        t *= 2.0
+    for _ in range(100):
+        step = (f(t) - target) / (0.5 * d / t - 0.5 * a - 0.5 * b * t)
+        if not step > 0.0 or t - step == t:
+            break
+        t -= step
+    return math.sqrt(t)
+
+
+def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpec:
+    """Box holding the classically allowed region and the top state's tail.
+
+    L is the larger of the first L (in steps of 5%) with V(L) >= e_max + 25
+    and 1.2 x support_half_width at degree (gamma - 3)/2, which is 2N + eps
+    for couplings on the constraint.
     """
     target = e_max + 25.0
     half = 1.0
     while potential_value(p, half) < target:
         half *= 1.05
-    return GridSpec(half_width=max(half, reduce(p).weight_half_width()), points=points)
+    r = reduce(p)
+    support = support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
+    return GridSpec(half_width=max(half, _SUPPORT_MARGIN * support), points=points)
 
 
-def _half_line_eigs(p: CouplingParams, parity: int, half_width: float, m_intervals: int, k: int) -> np.ndarray:
-    """Lowest k eigenvalues E of the half-line discretization for one parity."""
-    # the only scipy use in the package: LAPACK's selected-eigenvalue solver
-    from scipy.linalg import eigh_tridiagonal
+def _sinc_levels(p: CouplingParams, parity: int, half_width: float, n: int, k: int) -> np.ndarray:
+    """Lowest k energies from sinc collocation on x_j = j L/n, |j| <= n.
 
-    h = half_width / m_intervals
-    xs = np.arange(m_intervals) * h
-    v2 = 2.0 * potential_value(p, xs)  # operator eigenvalue is 2E
+    -d^2/dx^2 is the Toeplitz matrix T(|i - j|), T(0) = pi^2/(3h^2) and
+    T(m) = 2(-1)^m/(m^2 h^2).  Folding psi_{-j} = +-psi_j onto j >= 0 adds
+    the Hankel part +-T(i + j); the odd sector drops j = 0, and the even one
+    scales row and column 0 by 1/sqrt(2), which keeps the matrix symmetric.
+    """
+    h = half_width / n
+    m = np.abs(np.arange(-n, 2 * n + 1, dtype=float))  # |j - n| for j = 0..3n
+    t = np.where(m % 2 == 0, 2.0, -2.0) / np.maximum(m, 1.0) ** 2
+    t[n] = math.pi**2 / 3.0
+    toeplitz = sliding_window_view(t[: 2 * n + 1], n + 1)[::-1]  # [i, j] = T(|i - j|)
+    hankel = sliding_window_view(t[n:], n + 1)  # [i, j] = T(i + j)
     if parity == 0:
-        # Neumann at 0 via mirror ghost point; symmetrized with psi_0 /= sqrt(2)
-        diag = 2.0 / h**2 + v2
-        off = np.full(m_intervals - 1, -1.0 / h**2)
-        off[0] = -math.sqrt(2.0) / h**2
+        mat = toeplitz + hankel
+        mat[0, :] /= math.sqrt(2.0)
+        mat[:, 0] /= math.sqrt(2.0)
     else:
-        diag = 2.0 / h**2 + v2[1:]
-        off = np.full(m_intervals - 2, -1.0 / h**2)
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return w / 2.0
+        mat = (toeplitz - hankel)[1:, 1:]
+    mat /= h * h
+    x = np.arange(parity, n + 1) * h
+    mat[np.diag_indices_from(mat)] += 2.0 * potential_value(p, x)  # operator eigenvalue is 2E
+    return np.linalg.eigvalsh(mat)[:k] / 2.0
 
 
 def lowest_eigenvalues_detail(
     p: CouplingParams, k: int, grid: GridSpec, parity: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coarse, fine, richardson) lowest-k eigenvalues for the given parity."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(levels, |levels - coarser levels|, points used) for the lowest k of a parity.
+
+    The half-line grid starts at n = max(40, 2k, 2L sqrt(max(1, -min V2))/pi)
+    points, four per wavelength at the bottom of the deepest well, and grows
+    by 1.5x until every level moves by at most 1e-9 max(1, |E|), or until the
+    next grid would exceed grid.points on [-L, L].
+    """
     if k > grid.points // 4:
         raise ValueError(f"k={k} too large for {grid.points} grid points")
-    m = (grid.points - 1) // 2
-    coarse = _half_line_eigs(p, parity, grid.half_width, m, k)
-    fine = _half_line_eigs(p, parity, grid.half_width, 2 * m, k)
-    rich = (4.0 * fine - coarse) / 3.0
-    return coarse, fine, rich
+    half_width = grid.half_width
+    n_max = (grid.points - 1) // 2
+    # V2 = 2V is a cubic in t = x^2; its minimum over t >= 0 is at 0 or at
+    # the larger root of w2 + lam t + eta t^2
+    disc = p.lam * p.lam - 4.0 * p.eta * p.omega_sq
+    t_min = max(0.0, (-p.lam + math.sqrt(disc)) / (2.0 * p.eta)) if disc > 0.0 else 0.0
+    depth = -2.0 * potential_value(p, math.sqrt(t_min))
+    n0 = max(40, 2 * k, math.ceil(2.0 * half_width * math.sqrt(max(1.0, depth)) / math.pi))
+    n = min(n0, 2 * n_max // 3)
+    coarse = _sinc_levels(p, parity, half_width, n, k)
+    while True:
+        n = math.ceil(1.5 * n)
+        fine = _sinc_levels(p, parity, half_width, n, k)
+        estimate = np.abs(fine - coarse)
+        if np.all(estimate <= _CONVERGED * np.maximum(1.0, np.abs(fine))) or math.ceil(1.5 * n) > n_max:
+            return fine, estimate, 2 * n + 1
+        coarse = fine
 
 
 def lowest_eigenvalues(p: CouplingParams, k: int, grid: GridSpec, parity: int) -> np.ndarray:
-    """Richardson-extrapolated lowest k eigenvalues of the given parity."""
-    return lowest_eigenvalues_detail(p, k, grid, parity)[2]
+    """Lowest k eigenvalues of the given parity, from the finest grid solved."""
+    return lowest_eigenvalues_detail(p, k, grid, parity)[0]
 
 
 def verify_qes(
@@ -147,22 +210,24 @@ def verify_qes(
         grid = default_grid(p, e_max, points=grid.points)
 
     k = len(energies) + 2
-    _, fine, rich = lowest_eigenvalues_detail(p, k, grid, s.index.parity)
+    levels, estimate, points = lowest_eigenvalues_detail(p, k, grid, s.index.parity)
 
     matches = []
     used: set[int] = set()
     for e in energies:
-        order = np.argsort(np.abs(rich - e))
+        order = np.argsort(np.abs(levels - e))
         i = next((int(j) for j in order if int(j) not in used), None)
-        if i is None or abs(rich[i] - e) > _UNMATCHED_TOL * max(1.0, abs(e)):
+        if i is None or abs(levels[i] - e) > _UNMATCHED_TOL * max(1.0, abs(e)):
             raise VerificationError(
                 f"exact level E={e:.8f} has no numerical counterpart (parity {s.index.parity})"
             )
         used.add(i)
-        err = abs(rich[i] - e)
-        matches.append(Match(qes_energy=e, oracle_energy=float(rich[i]), abs_error=err, converged=err < MATCH_TOL))
+        err = abs(levels[i] - e)
+        matches.append(Match(qes_energy=e, oracle_energy=float(levels[i]), abs_error=err, converged=err < MATCH_TOL))
     return OracleReport(
-        eigenvalues=[float(v) for v in fine],
-        richardson_estimate=[float(v) for v in rich],
+        eigenvalues=[float(v) for v in levels],
+        convergence_estimate=[float(v) for v in estimate],
+        half_width=grid.half_width,
+        points=points,
         matches=matches,
     )

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,18 @@ def test_verify_command_wrong_omega(runner):
     assert result.exit_code == 3
 
 
+def test_verify_command_n16_odd_shows_box(runner):
+    # the box follows the degree 2N + eps; the weight's width alone left the
+    # top level at error 1.7e-5 and exit 5
+    result = runner.invoke(
+        main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd"]
+    )
+    assert result.exit_code == 0, result.output
+    summary, box = result.stdout.splitlines()[:2]
+    assert summary.startswith("17/17 matched")
+    assert re.fullmatch(r"  box L=\d+\.\d{6}, \d+ points, max convergence estimate \S+e-\d+", box)
+
+
 def test_verify_command_n5(runner):
     result = runner.invoke(
         main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "5", "--force-general"]
@@ -292,7 +305,7 @@ def test_scan_two_axes_deterministic(runner):
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # a cold start pays for numpy and click only; scipy loads with verify alone
+    # a cold start pays for numpy and click only, and no command loads scipy
     code = f"""
 import sys
 import sextic_qes
@@ -305,10 +318,9 @@ main(["constraint", *block], standalone_mode=False)
 main(["export", *block, "--format", "csv", "--samples", "-6:6:0.01",
       "--out", {str(tmp_path / "samples.csv")!r}], standalone_mode=False)
 main(["scan", "--scan", "lambda=0.1:1.0:0.1", "--eta", "0.03", "--N", "1"], standalone_mode=False)
+main(["verify", *block, "--grid-points", "4001"], standalone_mode=False)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-main(["verify", *block, "--grid-points", "4001"], standalone_mode=False)
-assert "scipy.linalg" in sys.modules
 """
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr

@@ -28,7 +28,7 @@ from sextic_qes import (
     reduce,
     spectrum,
 )
-from sextic_qes.oracle import potential_value
+from sextic_qes.oracle import potential_value, support_half_width
 from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     _derivative,
@@ -354,17 +354,20 @@ def test_recurrence_keeps_former_bits(n):
                 assert got == expect if isinstance(got, str) else same(got, expect)
 
 
-@pytest.mark.parametrize("e_max", [9.2, 1e3])  # the weight's width binds, then the potential's
+@pytest.mark.parametrize("e_max", [9.2, 1e3])  # the support's width binds, then the potential's
 def test_weight_width_keeps_former_bits(e_max):
     for omega_sq, lam, eta in [(0.3, 0.5, 0.03), (2.0, -1.0, 0.2), (-3.0, 0.1, 1e-3)]:
         p = CouplingParams(omega_sq=omega_sq, lam=lam, eta=eta)
         r = reduce(p)
         width = math.sqrt((-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b))
         assert integration_cutoff(r) == max(6.0, width)
+        # the oracle's box: the potential rule, and 1.2x the width of the
+        # degree-(gamma - 3)/2 envelope (2N + eps on the constraint)
         half = 1.0
         while potential_value(p, half) < e_max + 25.0:
             half *= 1.05
-        assert default_grid(p, e_max).half_width == max(half, width)
+        support = support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
+        assert default_grid(p, e_max).half_width == max(half, 1.2 * support)
 
 
 def test_self_norm_keeps_former_bits():

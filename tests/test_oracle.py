@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sextic_qes import (
     ConstraintViolationError,
     CouplingParams,
     GridSpec,
     QesIndex,
+    ReducedParams,
     VerificationError,
     default_grid,
     lowest_eigenvalues,
@@ -16,7 +19,7 @@ from sextic_qes import (
     spectrum,
     verify_qes,
 )
-from sextic_qes.oracle import lowest_eigenvalues_detail, potential_value
+from sextic_qes.oracle import _sinc_levels, potential_value, support_half_width
 
 TABLE1 = CouplingParams(0.0625, 0.5, 0.03)
 TABLE2 = CouplingParams(-0.1375, 0.5, 0.03)
@@ -35,6 +38,21 @@ def test_grid_spec_validation():
 def test_default_grid_covers_turning_region():
     g = default_grid(TABLE1, e_max=9.2)
     assert potential_value(TABLE1, g.half_width) >= 9.2 + 25.0
+
+
+@pytest.mark.parametrize(
+    "a, b, degree", [(1.0, 0.1, 0), (-7.7, 0.0325, 0), (-7.7, 0.0325, 41), (0.5, 2.0, 200), (3.0, 1e-3, 7)]
+)
+def test_support_half_width_is_the_outer_1e16_point(a, b, degree):
+    # |x|^degree exp(-a x^2/2 - b x^4/4) falls to 1e-16 of its peak at L, on its way down
+    def log_env(x):
+        return degree * np.log(x) - a * x * x / 2 - b * x**4 / 4
+
+    peak = np.max(log_env(np.linspace(1e-6, 50.0, 200001)))
+    target = peak + math.log(1e-16)
+    width = support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)
+    assert log_env(width) == pytest.approx(target, abs=1e-6)
+    assert log_env(1.001 * width) < target < log_env(0.999 * width)
 
 
 def test_harmonic_limit():
@@ -62,18 +80,20 @@ def test_table2_energies_with_corrected_omega():
     assert vals == pytest.approx([1.144540, 3.708044, 6.947903, 10.699513], abs=1e-6)
 
 
-def test_convergence_order_second():
-    # halving h must cut the eigenvalue error by ~4x
-    g_coarse = GridSpec(half_width=4.5, points=401)
-    g_fine = GridSpec(half_width=4.5, points=801)
-    c1, f1, _ = lowest_eigenvalues_detail(TABLE1, 1, g_coarse, parity=0)
-    c2, f2, _ = lowest_eigenvalues_detail(TABLE1, 1, g_fine, parity=0)
-    assert np.allclose(c2, f1)  # same discretization, sanity
-    e = 0.36092046884063844
-    ratio = (c1[0] - e) / (f1[0] - e)
-    assert 3.5 < ratio < 4.5
-    ratio = (c2[0] - e) / (f2[0] - e)
-    assert 3.5 < ratio < 4.5
+@pytest.mark.parametrize("p, parity, n_cap", [(TABLE1, 0, 3), (TABLE2, 1, 3)], ids=["table1", "table2"])
+def test_spectral_convergence(p, parity, n_cap):
+    # sinc collocation converges exponentially: each 1.5x refinement cuts the
+    # error by >= 100x until it reaches the rounding floor
+    exact = [state.energy for state in spectrum(reduce(p), QesIndex(n_cap, parity)).states]
+    half_width = default_grid(p, max(exact)).half_width
+    n = 12
+    err = np.max(np.abs(_sinc_levels(p, parity, half_width, n, len(exact)) - exact))
+    while err > 1e-12:
+        assert n < 200, f"still {err:.2e} at n={n}"
+        n = math.ceil(1.5 * n)
+        finer = np.max(np.abs(_sinc_levels(p, parity, half_width, n, len(exact)) - exact))
+        assert finer <= max(err / 100.0, 1e-12), (n, err, finer)
+        err = finer
 
 
 def test_parity_sectors_disjoint():
@@ -127,9 +147,76 @@ def test_verify_n5_beyond_closed_forms():
     assert report.all_matched
 
 
-def test_richardson_reported_not_raw():
+def test_report_carries_convergence_and_box():
     idx = QesIndex(3, 0)
     s = spectrum(reduce(TABLE1), idx)
     report = verify_qes(s, TABLE1)
-    for m, raw in zip(report.matches, report.eigenvalues):
-        assert m.oracle_energy != raw  # error measured against the extrapolant
+    grid = default_grid(TABLE1, max(state.energy for state in s.states))
+    k = len(s.states) + 2
+    assert report.half_width == grid.half_width
+    assert report.points % 2 == 1 and 2 * 40 + 1 <= report.points <= grid.points
+    assert len(report.eigenvalues) == len(report.convergence_estimate) == k
+    for e, estimate in zip(report.eigenvalues, report.convergence_estimate):
+        assert estimate <= 1e-9 * max(1.0, abs(e))
+    assert report.eigenvalues == lowest_eigenvalues(TABLE1, k, grid, parity=0).tolist()
+    for m in report.matches:
+        assert m.oracle_energy in report.eigenvalues  # the finest grid's level
+
+
+def _recurrence_levels(p: CouplingParams, n_cap: int, parity: int) -> np.ndarray:
+    """Exact levels from a dense eigvalsh of the symmetrised recurrence.
+
+    M A = 2E A has diagonal a (4n + 2 eps + 1) and off-diagonal products
+    4b (N - n)(2n + 1 + eps)(2n + 2 + eps) > 0, so it is similar to the
+    symmetric tridiagonal matrix with their square roots off the diagonal.
+    """
+    r = reduce(p)
+    n = np.arange(n_cap + 1, dtype=float)
+    k = n[:-1]
+    t = np.diag(r.a * (4.0 * n + 2.0 * parity + 1.0))
+    off = np.sqrt(4.0 * r.b * (n_cap - k) * (2.0 * k + 1.0 + parity) * (2.0 * k + 2.0 + parity))
+    t += np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(t) / 2.0
+
+
+def _oracle_against_recurrence(p: CouplingParams, idx: QesIndex):
+    """(report, [(oracle level, its convergence estimate, exact level)])."""
+    report = verify_qes(spectrum(reduce(p), idx), p)
+    exact = _recurrence_levels(p, idx.n_cap, idx.parity)
+    matched = sorted(report.matches, key=lambda m: m.qes_energy)
+    rows = []
+    for m, e in zip(matched, exact):
+        i = report.eigenvalues.index(m.oracle_energy)
+        rows.append((m.oracle_energy, report.convergence_estimate[i], e))
+    return report, rows
+
+
+@pytest.mark.parametrize(
+    "n_cap, parity", [(20, 0), (20, 1), (40, 0), (40, 1), (60, 0), (60, 1), (100, 0)]
+)
+def test_default_grid_matches_every_level_at_large_n(n_cap, parity):
+    # the box follows the degree 2N + eps: a box from the bare weight's
+    # width cut off the top states from N = 16 (errors up to 0.17 at N = 40)
+    idx = QesIndex(n_cap, parity)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    report, rows = _oracle_against_recurrence(p, idx)
+    assert report.all_matched and len(rows) == n_cap + 1
+    for got, _, e in rows:
+        assert abs(got - e) <= 1e-9 * max(1.0, abs(e))
+
+
+@given(
+    lam=st.floats(-1.5, 1.5),
+    log10_eta=st.floats(-3.0, 0.5),
+    n_cap=st.integers(0, 20),
+    parity=st.integers(0, 1),
+)
+@example(lam=-1.0, log10_eta=-2.5, n_cap=20, parity=1)  # a^2/b ~ 1,830: a deep double well
+@example(lam=-1.0, log10_eta=-2.5, n_cap=20, parity=0)
+def test_every_level_within_its_convergence_estimate(lam, log10_eta, n_cap, parity):
+    idx = QesIndex(n_cap, parity)
+    p = solve_constraint(idx, lam=lam, eta=10.0**log10_eta)[0]
+    report, rows = _oracle_against_recurrence(p, idx)
+    assert report.all_matched
+    for got, estimate, e in rows:
+        assert abs(got - e) <= estimate + 1e-11 * max(1.0, abs(e))
