@@ -15,17 +15,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintViolationError, VerificationError
 from .params import CouplingParams, ReducedParams, constraint_gamma, reduce
 from .qes_core import QesSpectrum
 
 MATCH_TOL = 1e-5       # agreement target; the solve itself converges to ~1e-12
-_UNMATCHED_TOL = 1e-2  # beyond this the level is simply absent from the spectrum
+_UNMATCHED_TOL = 1e-2  # beyond this the oracle's level m is not QES level m at all
 SUPPORT_TOL = 1e-16    # |x|^degree W(x) at the wall, relative to its peak
 _SUPPORT_MARGIN = 1.2  # the top states from N ~ 80 need more than the 1e-16 width
-_CONVERGED = 1e-9      # |E(1.5 n) - E(n)| / max(1, |E|) that ends the refinement
+_CONVERGED = 1e-9      # |E(1.25 n) - E(n)| / max(1, |E|) that ends the refinement
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class GridSpec:
             raise ValueError(f"points must be odd, got {self.points}")
         if not self.half_width > 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.points - 1)
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,8 @@ def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpe
     return GridSpec(half_width=max(half, _SUPPORT_MARGIN * support), points=points)
 
 
-def _sinc_levels(p: CouplingParams, parity: int, half_width: float, n: int, k: int) -> np.ndarray:
-    """Lowest k energies from sinc collocation on x_j = j L/n, |j| <= n.
+def _sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> np.ndarray:
+    """Collocation matrix of -d^2/dx^2 + 2V on x_j = j L/n, |j| <= n, folded by parity.
 
     -d^2/dx^2 is the Toeplitz matrix T(|i - j|), T(0) = pi^2/(3h^2) and
     T(m) = 2(-1)^m/(m^2 h^2).  Folding psi_{-j} = +-psi_j onto j >= 0 adds
@@ -133,21 +128,30 @@ def _sinc_levels(p: CouplingParams, parity: int, half_width: float, n: int, k: i
     scales row and column 0 by 1/sqrt(2), which keeps the matrix symmetric.
     """
     h = half_width / n
-    m = np.abs(np.arange(-n, 2 * n + 1, dtype=float))  # |j - n| for j = 0..3n
-    t = np.where(m % 2 == 0, 2.0, -2.0) / np.maximum(m, 1.0) ** 2
+    m = np.arange(-n, 2 * n + 1, dtype=float)
+    m[n] = 1.0  # T(0) is set below
+    t = 2.0 / (m * m)
+    t[(n + 1) % 2 :: 2] *= -1.0  # odd m
     t[n] = math.pi**2 / 3.0
-    toeplitz = sliding_window_view(t[: 2 * n + 1], n + 1)[::-1]  # [i, j] = T(|i - j|)
-    hankel = sliding_window_view(t[n:], n + 1)  # [i, j] = T(i + j)
+    size, step = n + 1 - parity, t.strides[0]
+    # strided views of t[j] = T(j - n): [i, j] = T(|i - j|) and T(i + j + 2 parity)
+    toeplitz = np.ndarray((size, size), buffer=t, offset=n * step, strides=(-step, step))
+    hankel = np.ndarray((size, size), buffer=t, offset=(n + 2 * parity) * step, strides=(step, step))
     if parity == 0:
         mat = toeplitz + hankel
         mat[0, :] /= math.sqrt(2.0)
         mat[:, 0] /= math.sqrt(2.0)
     else:
-        mat = (toeplitz - hankel)[1:, 1:]
+        mat = toeplitz - hankel
     mat /= h * h
     x = np.arange(parity, n + 1) * h
-    mat[np.diag_indices_from(mat)] += 2.0 * potential_value(p, x)  # operator eigenvalue is 2E
-    return np.linalg.eigvalsh(mat)[:k] / 2.0
+    mat.reshape(-1)[:: size + 1] += 2.0 * potential_value(p, x)  # operator eigenvalue is 2E
+    return mat
+
+
+def _sinc_levels(p: CouplingParams, parity: int, half_width: float, n: int, k: int) -> np.ndarray:
+    """Lowest k energies from sinc collocation on x_j = j L/n, |j| <= n."""
+    return np.linalg.eigvalsh(_sinc_matrix(p, parity, half_width, n))[:k] / 2.0
 
 
 def lowest_eigenvalues_detail(
@@ -157,8 +161,9 @@ def lowest_eigenvalues_detail(
 
     The half-line grid starts at n = max(40, 2k, 2L sqrt(max(1, -min V2))/pi)
     points, four per wavelength at the bottom of the deepest well, and grows
-    by 1.5x until every level moves by at most 1e-9 max(1, |E|), or until the
-    next grid would exceed grid.points on [-L, L].
+    by 1.25x until every level moves by at most 1e-9 max(1, |E|).  The rung
+    that would pass grid.points on [-L, L] is the cap n = (points - 1)/2
+    itself, and the ladder ends there.
     """
     if k > grid.points // 4:
         raise ValueError(f"k={k} too large for {grid.points} grid points")
@@ -173,10 +178,10 @@ def lowest_eigenvalues_detail(
     n = min(n0, 2 * n_max // 3)
     coarse = _sinc_levels(p, parity, half_width, n, k)
     while True:
-        n = math.ceil(1.5 * n)
+        n = min(math.ceil(1.25 * n), n_max)
         fine = _sinc_levels(p, parity, half_width, n, k)
         estimate = np.abs(fine - coarse)
-        if np.all(estimate <= _CONVERGED * np.maximum(1.0, np.abs(fine))) or math.ceil(1.5 * n) > n_max:
+        if n == n_max or np.all(estimate <= _CONVERGED * np.maximum(1.0, np.abs(fine))):
             return fine, estimate, 2 * n + 1
         coarse = fine
 
@@ -189,7 +194,7 @@ def lowest_eigenvalues(p: CouplingParams, k: int, grid: GridSpec, parity: int) -
 def verify_qes(
     s: QesSpectrum, p: CouplingParams, grid: GridSpec | None = None
 ) -> OracleReport:
-    """Confirm every exact level appears in the numerical spectrum.
+    """Confirm exact level m is the m-th numerical level of its parity.
 
     Raises ConstraintViolationError when p does not satisfy the coupling
     constraint for s.index, and VerificationError when an exact level has no
@@ -202,32 +207,27 @@ def verify_qes(
             f"couplings give gamma={g_actual:.10g}, constraint requires {g_required:g}"
         )
 
-    energies = [st.energy for st in s.states]
-    e_max = max(energies)
-    if grid is None:
-        grid = default_grid(p, e_max)
-    elif potential_value(p, grid.half_width) < e_max + 25.0:
-        grid = default_grid(p, e_max, points=grid.points)
+    exact = np.array([st.energy for st in s.states])
+    e_max = float(exact.max())
+    if grid is None or potential_value(p, grid.half_width) < e_max + 25.0:
+        grid = default_grid(p, e_max, points=grid.points if grid else GridSpec.points)
 
-    k = len(energies) + 2
-    levels, estimate, points = lowest_eigenvalues_detail(p, k, grid, s.index.parity)
-
-    matches = []
-    used: set[int] = set()
-    for e in energies:
-        order = np.argsort(np.abs(levels - e))
-        i = next((int(j) for j in order if int(j) not in used), None)
-        if i is None or abs(levels[i] - e) > _UNMATCHED_TOL * max(1.0, abs(e)):
-            raise VerificationError(
-                f"exact level E={e:.8f} has no numerical counterpart (parity {s.index.parity})"
-            )
-        used.add(i)
-        err = abs(levels[i] - e)
-        matches.append(Match(qes_energy=e, oracle_energy=float(levels[i]), abs_error=err, converged=err < MATCH_TOL))
+    levels, estimate, points = lowest_eigenvalues_detail(p, len(exact) + 2, grid, s.index.parity)
+    # state m has 2m + eps nodes, so it is the oracle's level m of its parity
+    found = levels[[st.label for st in s.states]]
+    err = np.abs(found - exact)
+    absent = np.flatnonzero(err > _UNMATCHED_TOL * np.maximum(1.0, np.abs(exact)))
+    if absent.size:
+        raise VerificationError(
+            f"exact level E={exact[absent[0]]:.8f} has no numerical counterpart (parity {s.index.parity})"
+        )
     return OracleReport(
-        eigenvalues=[float(v) for v in levels],
-        convergence_estimate=[float(v) for v in estimate],
+        eigenvalues=levels.tolist(),
+        convergence_estimate=estimate.tolist(),
         half_width=grid.half_width,
         points=points,
-        matches=matches,
+        matches=[
+            Match(qes_energy=e, oracle_energy=v, abs_error=d, converged=d < MATCH_TOL)
+            for e, v, d in zip(exact.tolist(), found.tolist(), err.tolist())
+        ],
     )

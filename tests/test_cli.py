@@ -19,6 +19,7 @@ from sextic_qes import (
     spectrum,
 )
 from sextic_qes.cli import _parse_range, main
+from sextic_qes.oracle import potential_value
 
 from conftest import run_python
 
@@ -244,6 +245,26 @@ def test_verify_command_n16_odd_shows_box(runner):
     summary, box = result.stdout.splitlines()[:2]
     assert summary.startswith("17/17 matched")
     assert re.fullmatch(r"  box L=\d+\.\d{6}, \d+ points, max convergence estimate \S+e-\d+", box)
+
+
+def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
+    # the weight's width passes the potential rule, V(L) >= E_max + 25, so it
+    # is kept, but it cuts the tail of the top state of N = 16 odd
+    idx = QesIndex(16, 1)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    half_width = reduce(p).weight_half_width()
+    e_max = max(st.energy for st in spectrum(reduce(p), idx).states)
+    assert potential_value(p, half_width) >= e_max + 25.0
+    result = runner.invoke(
+        main,
+        ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd",
+         "--half-width", repr(half_width)],
+    )
+    assert result.exit_code == 5, result.output
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("16/17 matched")
+    assert lines[1].startswith(f"  box L={half_width:.6f}, ")
+    assert [line.endswith("MISMATCH") for line in lines[2:]] == [False] * 16 + [True]
 
 
 def test_verify_command_n5(runner):

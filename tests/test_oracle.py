@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,15 @@ from sextic_qes import (
     spectrum,
     verify_qes,
 )
-from sextic_qes.oracle import _sinc_levels, potential_value, support_half_width
+from sextic_qes.oracle import (
+    _UNMATCHED_TOL,
+    MATCH_TOL,
+    Match,
+    _sinc_levels,
+    _sinc_matrix,
+    potential_value,
+    support_half_width,
+)
 
 TABLE1 = CouplingParams(0.0625, 0.5, 0.03)
 TABLE2 = CouplingParams(-0.1375, 0.5, 0.03)
@@ -32,7 +41,6 @@ def test_grid_spec_validation():
         GridSpec(half_width=5.0, points=199)
     with pytest.raises(ValueError):
         GridSpec(half_width=-1.0, points=201)
-    assert GridSpec(half_width=4.0, points=201).spacing == pytest.approx(0.04)
 
 
 def test_default_grid_covers_turning_region():
@@ -161,6 +169,96 @@ def test_report_carries_convergence_and_box():
     assert report.eigenvalues == lowest_eigenvalues(TABLE1, k, grid, parity=0).tolist()
     for m in report.matches:
         assert m.oracle_energy in report.eigenvalues  # the finest grid's level
+
+
+def _former_sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> np.ndarray:
+    """The collocation matrix as assembled before strided views, frozen."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    h = half_width / n
+    m = np.abs(np.arange(-n, 2 * n + 1, dtype=float))
+    t = np.where(m % 2 == 0, 2.0, -2.0) / np.maximum(m, 1.0) ** 2
+    t[n] = math.pi**2 / 3.0
+    toeplitz = sliding_window_view(t[: 2 * n + 1], n + 1)[::-1]
+    hankel = sliding_window_view(t[n:], n + 1)
+    if parity == 0:
+        mat = toeplitz + hankel
+        mat[0, :] /= math.sqrt(2.0)
+        mat[:, 0] /= math.sqrt(2.0)
+    else:
+        mat = (toeplitz - hankel)[1:, 1:]
+    mat /= h * h
+    x = np.arange(parity, n + 1) * h
+    mat[np.diag_indices_from(mat)] += 2.0 * potential_value(p, x)
+    return mat
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("n", [40, 50, 63, 285, 1000])
+def test_sinc_matrix_keeps_former_bits(n, parity):
+    half_width = default_grid(TABLE1, 9.2).half_width
+    got = _sinc_matrix(TABLE1, parity, half_width, n)
+    want = _former_sinc_matrix(TABLE1, parity, half_width, n)
+    assert got.shape == want.shape == (n + 1 - parity,) * 2
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _former_matches(s, levels: np.ndarray) -> list[Match]:
+    """The nearest-unused matching loop that label matching replaced, frozen."""
+    matches, used = [], set()
+    for e in (st.energy for st in s.states):
+        order = np.argsort(np.abs(levels - e))
+        i = next((int(j) for j in order if int(j) not in used), None)
+        if i is None or abs(levels[i] - e) > _UNMATCHED_TOL * max(1.0, abs(e)):
+            raise VerificationError(f"exact level E={e:.8f} has no numerical counterpart")
+        used.add(i)
+        err = abs(levels[i] - e)
+        matches.append(Match(qes_energy=e, oracle_energy=float(levels[i]), abs_error=err, converged=err < MATCH_TOL))
+    return matches
+
+
+def test_label_match_equals_former_nearest_unused():
+    # fed the report's own levels, the nearest-unused search gives the same
+    # records as state m -> level m, over the benchmark's coupling box
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        idx = QesIndex(int(rng.integers(0, 21)), int(rng.integers(0, 2)))
+        p = solve_constraint(idx, lam=rng.uniform(-1.5, 1.5), eta=10.0 ** rng.uniform(-3.0, 0.5))[0]
+        s = spectrum(reduce(p), idx)
+        report = verify_qes(s, p)
+        assert report.matches == _former_matches(s, np.array(report.eigenvalues)), (p, idx)
+
+
+def _with_energy(s, m: int, energy: float):
+    states = list(s.states)
+    states[m] = dataclasses.replace(states[m], energy=energy)
+    return dataclasses.replace(s, states=states)
+
+
+def test_wrong_level_is_a_mismatch_then_absent():
+    s = spectrum(reduce(TABLE1), QesIndex(3, 0))
+    e = s.states[1].energy
+    report = verify_qes(_with_energy(s, 1, e * (1.0 + 1e-3)), TABLE1)
+    assert [m.converged for m in report.matches] == [True, False, True, True]
+    assert not report.all_matched
+    assert report.max_abs_error == pytest.approx(1e-3 * e, rel=1e-6)
+    with pytest.raises(VerificationError, match=r"exact level E=.* has no numerical counterpart \(parity 0\)"):
+        verify_qes(_with_energy(s, 1, e * (1.0 + 2.0 * _UNMATCHED_TOL)), TABLE1)
+
+
+@pytest.mark.parametrize("n_cap, parity", [(40, 0), (40, 1), (45, 0), (45, 1)])
+def test_cap_rung_is_solved_when_the_cap_binds(n_cap, parity):
+    # the ladder that would pass 201 points ends on the cap itself: one rung
+    # short of it (167 points) the top levels of N = 45 were off by 9.9e-7
+    idx = QesIndex(n_cap, parity)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    s = spectrum(reduce(p), idx)
+    grid = default_grid(p, max(st.energy for st in s.states), points=201)
+    assert verify_qes(s, p).points > grid.points  # uncapped, the ladder goes past 201
+    report = verify_qes(s, p, grid)
+    assert report.points == grid.points
+    exact = _recurrence_levels(p, n_cap, parity)
+    assert np.max(np.abs(np.array([m.oracle_energy for m in report.matches]) - exact)) <= 1e-12
 
 
 def _recurrence_levels(p: CouplingParams, n_cap: int, parity: int) -> np.ndarray:
