@@ -18,6 +18,7 @@ from .params import (
     gamma_residual,
     reduce,
     solve_constraint,
+    solve_cubic_trig,
 )
 from .qes_core import (
     QesSpectrum,
@@ -25,7 +26,6 @@ from .qes_core import (
     RecurrenceMatrix,
     build_recurrence_matrix,
     coefficients_from_energy,
-    solve_cubic_trig,
     solve_quartic_real,
     spectrum,
     spectrum_closed_form,

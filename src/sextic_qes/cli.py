@@ -85,13 +85,10 @@ def _solve_block(
         raise ValueError("need --lambda and --eta (with --omega2 optional; it is auto-solved)")
     else:
         p = CouplingParams(omega2, lam, eta)
-        res = params_mod.gamma_residual(p, idx)
-        if enforce and abs(res) > 1e-8 * max(1.0, params_mod.constraint_gamma(idx)):
-            raise ConstraintViolationError(
-                f"couplings violate the constraint: gamma={params_mod.reduce(p).gamma:.10g}, "
-                f"required {params_mod.constraint_gamma(idx):g} (N={idx.n_cap}, parity={idx.parity})"
-            )
-    return p, qes_core.spectrum(params_mod.reduce(p), idx, force_general=force_general), solved
+    r = params_mod.reduce(p)
+    if enforce and not solved:
+        params_mod.check_constraint(r, idx)
+    return p, qes_core.spectrum(r, idx, force_general=force_general), solved
 
 
 def _format_table(spec: qes_core.QesSpectrum) -> str:

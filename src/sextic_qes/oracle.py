@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolationError, VerificationError
-from .params import CouplingParams, ReducedParams, constraint_gamma, reduce
+from .errors import VerificationError
+from .params import CouplingParams, check_constraint, potential_v2, reduce
+from .params import support_half_width, turning_point, well_bottom
 from .qes_core import QesSpectrum
 
 MATCH_TOL = 1e-5       # agreement target; the solve itself converges to ~1e-12
 _UNMATCHED_TOL = 1e-2  # beyond this the oracle's level m is not QES level m at all
-SUPPORT_TOL = 1e-16    # |x|^degree W(x) at the wall, relative to its peak
 _SUPPORT_MARGIN = 1.2  # the top states from N ~ 80 need more than the 1e-16 width
 _CONVERGED = 1e-9      # |E(1.25 n) - E(n)| / max(1, |E|) that ends the refinement
 
@@ -71,52 +71,17 @@ class OracleReport:
         return max((m.abs_error for m in self.matches), default=0.0)
 
 
-def potential_value(p: CouplingParams, x: float | np.ndarray) -> float | np.ndarray:
-    """V(x) = w2 x^2/2 + lam x^4/4 + eta x^6/6, for a float or an array of x."""
-    x2 = x * x
-    return 0.5 * p.omega_sq * x2 + 0.25 * p.lam * x2 * x2 + p.eta * x2 * x2 * x2 / 6.0
-
-
-def support_half_width(r: ReducedParams, degree: float) -> float:
-    """L beyond the peak of |x|^degree exp(-a x^2/2 - b x^4/4) where it has
-    fallen to SUPPORT_TOL of its peak.
-
-    In t = x^2 the log of the envelope, f(t) = (degree/2) ln t - a t/2 - b t^2/4,
-    is concave, so Newton's method started right of the crossing
-    f(t) = f(t_peak) + ln SUPPORT_TOL decreases monotonically onto it.
-    """
-    a, b, d = r.a, r.b, degree
-
-    def f(t: float) -> float:
-        return (0.5 * d * math.log(t) if d else 0.0) - 0.5 * a * t - 0.25 * b * t * t
-
-    t_peak = (-a + math.sqrt(a * a + 4.0 * b * d)) / (2.0 * b)
-    target = (f(t_peak) if t_peak > 0.0 else 0.0) + math.log(SUPPORT_TOL)
-    t = max(2.0 * t_peak, 1.0)
-    while f(t) > target:
-        t *= 2.0
-    for _ in range(100):
-        step = (f(t) - target) / (0.5 * d / t - 0.5 * a - 0.5 * b * t)
-        if not step > 0.0 or t - step == t:
-            break
-        t -= step
-    return math.sqrt(t)
-
-
 def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpec:
     """Box holding the classically allowed region and the top state's tail.
 
-    L is the larger of the first L (in steps of 5%) with V(L) >= e_max + 25
+    L is the larger of the turning point at e_max + 25, where V(L) = e_max + 25,
     and 1.2 x support_half_width at degree (gamma - 3)/2, which is 2N + eps
     for couplings on the constraint.
     """
-    target = e_max + 25.0
-    half = 1.0
-    while potential_value(p, half) < target:
-        half *= 1.05
+    turn = math.sqrt(turning_point(p, e_max + 25.0))
     r = reduce(p)
     support = support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
-    return GridSpec(half_width=max(half, _SUPPORT_MARGIN * support), points=points)
+    return GridSpec(half_width=max(turn, _SUPPORT_MARGIN * support), points=points)
 
 
 def _sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> np.ndarray:
@@ -145,7 +110,7 @@ def _sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> n
         mat = toeplitz - hankel
     mat /= h * h
     x = np.arange(parity, n + 1) * h
-    mat.reshape(-1)[:: size + 1] += 2.0 * potential_value(p, x)  # operator eigenvalue is 2E
+    mat.reshape(-1)[:: size + 1] += potential_v2(p, x)  # operator eigenvalue is 2E
     return mat
 
 
@@ -169,11 +134,7 @@ def lowest_eigenvalues_detail(
         raise ValueError(f"k={k} too large for {grid.points} grid points")
     half_width = grid.half_width
     n_max = (grid.points - 1) // 2
-    # V2 = 2V is a cubic in t = x^2; its minimum over t >= 0 is at 0 or at
-    # the larger root of w2 + lam t + eta t^2
-    disc = p.lam * p.lam - 4.0 * p.eta * p.omega_sq
-    t_min = max(0.0, (-p.lam + math.sqrt(disc)) / (2.0 * p.eta)) if disc > 0.0 else 0.0
-    depth = -2.0 * potential_value(p, math.sqrt(t_min))
+    depth = -potential_v2(p, math.sqrt(well_bottom(p)))
     n0 = max(40, 2 * k, math.ceil(2.0 * half_width * math.sqrt(max(1.0, depth)) / math.pi))
     n = min(n0, 2 * n_max // 3)
     coarse = _sinc_levels(p, parity, half_width, n, k)
@@ -200,19 +161,13 @@ def verify_qes(
     constraint for s.index, and VerificationError when an exact level has no
     numerical counterpart at all (beyond grid tolerance by orders of magnitude).
     """
-    g_required = constraint_gamma(s.index)
-    g_actual = reduce(p).gamma
-    if abs(g_actual - g_required) > 1e-8 * max(1.0, abs(g_required)):
-        raise ConstraintViolationError(
-            f"couplings give gamma={g_actual:.10g}, constraint requires {g_required:g}"
-        )
-
+    check_constraint(reduce(p), s.index)
     exact = np.array([st.energy for st in s.states])
     e_max = float(exact.max())
-    if grid is None or potential_value(p, grid.half_width) < e_max + 25.0:
+    if grid is None or potential_v2(p, grid.half_width) < 2.0 * (e_max + 25.0):
         grid = default_grid(p, e_max, points=grid.points if grid else GridSpec.points)
 
-    levels, estimate, points = lowest_eigenvalues_detail(p, len(exact) + 2, grid, s.index.parity)
+    levels, estimate, points = lowest_eigenvalues_detail(p, len(exact), grid, s.index.parity)
     # state m has 2m + eps nodes, so it is the oracle's level m of its parity
     found = levels[[st.label for st in s.states]]
     err = np.abs(found - exact)

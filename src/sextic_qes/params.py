@@ -9,7 +9,9 @@ Working quantities:
     gamma = sqrt(3/eta) * (3*lam^2/(16*eta) - omega2)
 
 A polynomial (quasi-exact) solution of degree index N and parity eps exists
-iff gamma = 4N + 3 + 2*eps, equivalently c + 2b(2N + eps) = 0.
+iff gamma = 4N + 3 + 2*eps, equivalently c + 2b(2N + eps) = 0.  The module
+also holds the potential's geometry: V2 = 2V, the bottom of the well, the
+outer turning point and the support of psi.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import InvalidCouplingError, NoSolutionError
+from .errors import ConstraintViolationError, InvalidCouplingError, NoSolutionError, SolverError
+
+SUPPORT_TOL = 1e-16  # |x|^degree W(x) at the edge of psi's support, relative to its peak
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,9 @@ class ReducedParams:
         g = self.gamma if gamma is None else gamma
         return self.a**2 - g * self.b
 
-    def weight_half_width(self) -> float:
-        """Half-width L where the weight exp(-a x^2/2 - b x^4/4) has decayed to
-        exp(-40): the positive root of a L^2/2 + b L^4/4 = 40."""
-        s = (-0.5 * self.a + math.sqrt(0.25 * self.a**2 + 40.0 * self.b)) / (0.5 * self.b)
-        return math.sqrt(s)
+    def couplings(self) -> CouplingParams:
+        """The couplings (a, b, gamma) imply: omega2 = a^2 - gamma b, lam = 4ab, eta = 3b^2."""
+        return CouplingParams(self.omega_sq(), self.lam, self.eta)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,110 @@ def constraint_gamma(idx: QesIndex) -> float:
 def gamma_residual(p: CouplingParams, idx: QesIndex) -> float:
     """Signed mismatch gamma(p) - (4N + 3 + 2*eps)."""
     return reduce(p).gamma - constraint_gamma(idx)
+
+
+def check_constraint(r: ReducedParams, idx: QesIndex) -> None:
+    """Raise ConstraintViolationError unless gamma = 4N + 3 + 2 eps.
+
+    The tolerance is 1e-8 max(1, g), or the rounding of gamma itself where
+    that is larger: gamma = sqrt(3/eta) (3 lam^2/(16 eta) - omega2) =
+    (a^2 - omega2)/b cancels, and on 50,000 blocks solved onto the constraint
+    (|lam| <= 3, 1e-6 <= eta <= 1e6, N <= 100) it was off by up to
+    2.8 eps (a^2 + |omega2|)/b.
+    """
+    g = constraint_gamma(idx)
+    rounding = 8.0 * np.finfo(float).eps * (r.a * r.a + abs(r.omega_sq())) / r.b
+    if abs(r.gamma - g) > max(1e-8 * max(1.0, g), rounding):
+        raise ConstraintViolationError(
+            f"couplings violate the constraint: gamma={r.gamma:.10g}, "
+            f"required {g:g} (N={idx.n_cap}, parity={idx.parity})"
+        )
+
+
+# ---------------------------------------------------------------------------
+# geometry of the potential, shared by node counts, norms and the oracle
+
+
+def potential_v2(p: CouplingParams, x):
+    """V2(x) = 2V(x) = omega2 x^2 + lam x^4/2 + eta x^6/3, for a float or an array of x."""
+    x2 = x * x
+    return p.omega_sq * x2 + 0.5 * p.lam * x2 * x2 + p.eta * x2 * x2 * x2 / 3.0
+
+
+def well_bottom(p: CouplingParams) -> float:
+    """t = x^2 >= 0 where V2 is least: 0, or the larger root of dV2/dt = omega2 + lam t + eta t^2.
+
+    The root is taken in the form that does not cancel.
+    """
+    w2, lam, eta = p.omega_sq, p.lam, p.eta
+    d = lam * lam - 4.0 * eta * w2
+    if not d > 0.0:
+        return 0.0
+    s = math.sqrt(d)
+    return max(0.0, -2.0 * w2 / (lam + s) if lam > 0.0 else (s - lam) / (2.0 * eta))
+
+
+def turning_point(p: CouplingParams, energy: float) -> float:
+    """t = x^2 of the outer turning point: the largest root of V2 = 2E, a cubic in t (0 if none)."""
+    b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
+    return max(0.0, *_cubic_real_roots(b2, b1, b0))
+
+
+def support_half_width(r: ReducedParams, degree: float) -> float:
+    """L beyond the peak of |x|^degree exp(-a x^2/2 - b x^4/4) where it has
+    fallen to SUPPORT_TOL of its peak.
+
+    In t = x^2 the log of the envelope, f(t) = (degree/2) ln t - a t/2 - b t^2/4,
+    is concave, so Newton's method started right of the crossing
+    f(t) = f(t_peak) + ln SUPPORT_TOL decreases monotonically onto it.
+    """
+    a, b, d = r.a, r.b, degree
+
+    def f(t: float) -> float:
+        return (0.5 * d * math.log(t) if d else 0.0) - 0.5 * a * t - 0.25 * b * t * t
+
+    t_peak = (-a + math.sqrt(a * a + 4.0 * b * d)) / (2.0 * b)
+    target = (f(t_peak) if t_peak > 0.0 else 0.0) + math.log(SUPPORT_TOL)
+    t = max(2.0 * t_peak, 1.0)
+    while f(t) > target:
+        t *= 2.0
+    for _ in range(100):
+        step = (f(t) - target) / (0.5 * d / t - 0.5 * a - 0.5 * b * t)
+        if not step > 0.0 or t - step == t:
+            break
+        t -= step
+    return math.sqrt(t)
+
+
+def solve_cubic_trig(p: float, q: float) -> np.ndarray:
+    """Three real roots of chi^3 + p*chi + q = 0 via the sine parameterization.
+
+    Requires a positive discriminant -4p^3 - 27q^2 (which forces p < 0).
+    Roots are P*sin(theta + 2*pi*k/3), k = 0, 1, 2, with theta = arcsin(Q)/3
+    and Q carrying the sign of q so negative q (a < 0) is handled too.
+    """
+    disc = -4.0 * p**3 - 27.0 * q**2
+    if disc <= 0:
+        raise SolverError(f"cubic discriminant must be positive, got {disc:.3e}")
+    big_p = math.sqrt(-4.0 * p / 3.0)
+    big_q = -3.0 * q / (p * big_p)  # = sign(q) * sqrt(-27 q^2 / (4 p^3))
+    theta = math.asin(big_q) / 3.0
+    return np.array([big_p * math.sin(theta + 2.0 * math.pi * k / 3.0) for k in range(3)])
+
+
+def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
+    """Real roots of x^3 + b2 x^2 + b1 x + b0 (closed form, no companion matrix)."""
+    p = b1 - b2**2 / 3.0
+    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+    shift = -b2 / 3.0
+    disc = -4.0 * p**3 - 27.0 * q**2
+    if disc > 0:
+        return [u + shift for u in solve_cubic_trig(p, q)]
+    # one real root (Cardano)
+    h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
+    u = math.copysign(abs(-q / 2.0 + h) ** (1.0 / 3.0), -q / 2.0 + h)
+    v = math.copysign(abs(-q / 2.0 - h) ** (1.0 / 3.0), -q / 2.0 - h)
+    return [u + v + shift]
 
 
 def solve_constraint(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonEigenvalueError, SolverError
-from .params import QesIndex, ReducedParams
+from .params import QesIndex, ReducedParams, _cubic_real_roots, solve_cubic_trig
 
 _EIG_RTOL = 1e-10
 _ROW_RTOL = 1e-8
@@ -176,39 +176,6 @@ def spectrum_general(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
     """All N+1 eigenpairs for any N via the symmetrized tridiagonal eigensolve."""
     m = build_recurrence_matrix(r, idx)
     return _make_spectrum(eigenvalues(m) / 2.0, r, idx)
-
-
-def solve_cubic_trig(p: float, q: float) -> np.ndarray:
-    """Three real roots of chi^3 + p*chi + q = 0 via the sine parameterization.
-
-    Requires a positive discriminant -4p^3 - 27q^2 (which forces p < 0).
-    Roots are P*sin(theta + 2*pi*k/3), k = 0, 1, 2, with theta = arcsin(Q)/3
-    and Q carrying the sign of q so negative q (a < 0) is handled too.
-    """
-    disc = -4.0 * p**3 - 27.0 * q**2
-    if disc <= 0:
-        raise SolverError(f"cubic discriminant must be positive, got {disc:.3e}")
-    big_p = math.sqrt(-4.0 * p / 3.0)
-    big_q = -3.0 * q / (p * big_p)  # = sign(q) * sqrt(-27 q^2 / (4 p^3))
-    theta = math.asin(big_q) / 3.0
-    return np.array(
-        [big_p * math.sin(theta + 2.0 * math.pi * k / 3.0) for k in range(3)]
-    )
-
-
-def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
-    """Real roots of x^3 + b2 x^2 + b1 x + b0 (closed form, no companion matrix)."""
-    p = b1 - b2**2 / 3.0
-    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-    shift = -b2 / 3.0
-    disc = -4.0 * p**3 - 27.0 * q**2
-    if disc > 0:
-        return [u + shift for u in solve_cubic_trig(p, q)]
-    # one real root (Cardano)
-    h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
-    u = math.copysign(abs(-q / 2.0 + h) ** (1.0 / 3.0), -q / 2.0 + h)
-    v = math.copysign(abs(-q / 2.0 - h) ** (1.0 / 3.0), -q / 2.0 - h)
-    return [u + v + shift]
 
 
 def solve_quartic_real(p: float, q: float, r: float) -> np.ndarray:

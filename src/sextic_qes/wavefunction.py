@@ -14,8 +14,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import SolverError, WeightMismatchError
-from .params import ReducedParams
-from .qes_core import QesState, _cubic_real_roots
+from .params import ReducedParams, potential_v2, support_half_width, turning_point, well_bottom
+from .qes_core import QesState
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,9 @@ class Eigenfunction:
 
 @dataclass(frozen=True)
 class NodeReport:
-    """Node count and the non-negative node locations (mirrored at -x)."""
+    """Node count of psi on the whole line."""
 
     count: int
-    locations: list[float]
 
 
 def _weight(r: ReducedParams, x: np.ndarray) -> np.ndarray:
@@ -56,15 +55,6 @@ def _horner(c: np.ndarray, x, step: int = 1):
         acc *= x
         if i % step == 0:
             acc += ck
-    return acc
-
-
-def _value(cs: list[float], t: float) -> float:
-    """The same Horner sum on Python floats (cs from coeffs.tolist()), for scalar t."""
-    high_to_low = reversed(cs)
-    acc = next(high_to_low) + t * 0.0
-    for c in high_to_low:
-        acc = acc * t + c
     return acc
 
 
@@ -127,17 +117,10 @@ def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
 
 
 def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
-    """Pointwise residual psi'' + (2E - V2) psi with V2 = w2 x^2 + lam x^4/2 + eta x^6/3.
-
-    The couplings are reconstructed from (a, b, gamma) of the closure-consistent
-    reduced parameters: w2 = a^2 - gamma*b, lam = 4ab, eta = 3b^2.
-    """
+    """Pointwise residual psi'' + (2E - V2) psi, V2 from the couplings of f's reduced parameters."""
     xs = np.asarray(xs, dtype=float)
     r = f.reduced
-    w2 = r.omega_sq()
-    lam, eta = r.lam, r.eta
-    x2 = xs * xs
-    v2 = w2 * x2 + 0.5 * lam * x2 * x2 + eta * x2 * x2 * x2 / 3.0
+    v2 = potential_v2(r.couplings(), xs)
     w = _weight(r, xs)
     psi = _psi_over_weight(f, xs) * w
     return _second_derivative_over_weight(f, xs) * w + (2.0 * energy - v2) * psi
@@ -153,31 +136,22 @@ def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
     Every node of a bound state lies inside x_t, and by Sturm comparison with
     y'' + k_max^2 y = 0 two nodes are at least pi/k_max apart.
     """
-    r, two_e = f.reduced, 2.0 * f.state.energy
-    w2, lam, eta = r.omega_sq(), r.lam, r.eta
-    # in t = x^2, V2 = w2 t + lam t^2/2 + eta t^3/3
-    t_turn = max(0.0, *_cubic_real_roots(1.5 * lam / eta, 3.0 * w2 / eta, -3.0 * two_e / eta))
-    # V2 is least at the larger root of dV2/dt = w2 + lam t + eta t^2, in the form that does not cancel
-    d = lam * lam - 4.0 * eta * w2
-    t_min = 0.0
-    if d > 0.0:
-        s = math.sqrt(d)
-        t_min = -2.0 * w2 / (lam + s) if lam > 0.0 else (s - lam) / (2.0 * eta)
-    t_min = min(max(t_min, 0.0), t_turn)
-    v_min = min(0.0, t_min * (w2 + t_min * (0.5 * lam + t_min * eta / 3.0)))
-    return math.sqrt(t_turn), math.sqrt(max(0.0, two_e - v_min))
+    p, energy = f.reduced.couplings(), f.state.energy
+    t_turn = turning_point(p, energy)
+    t_min = min(well_bottom(p), t_turn)
+    v_min = min(0.0, potential_v2(p, math.sqrt(t_min)))
+    return math.sqrt(t_turn), math.sqrt(max(0.0, 2.0 * energy - v_min))
 
 
-def _positive_roots(f: Eigenfunction) -> list[float]:
-    """The roots t = x^2 of p(t) = sum A_n t^n inside the turning point, ascending.
+def _positive_roots(f: Eigenfunction) -> int:
+    """The number of roots t = x^2 of p(t) = sum A_n t^n inside the turning point.
 
     Samples three to a node spacing pi/k_max leave at most one node between
     two of them, even with one sample dropped.  A sample with |p| within
     Horner's rounding bound (N+1) eps sum |A_n| t^n (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, 5.1) has no known sign: alone it
     is dropped, as it may be a root; two adjacent ones mean p is rounding noise
-    there, and raise SolverError.  Each sign change is bisected until lo and hi
-    are adjacent doubles.
+    there, and raise SolverError.  Each sign change of the rest is one root.
     """
     coeffs = f.state.coeffs
     x_t, k_max = _allowed_region(f)
@@ -191,20 +165,8 @@ def _positive_roots(f: Eigenfunction) -> list[float]:
             f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
             f"inside the turning point {x_t!r}"
         )
-    t, neg = t[~unknown], np.signbit(p[~unknown])
-    cs = coeffs.tolist()
-    roots = []
-    for i in np.flatnonzero(neg[1:] != neg[:-1]).tolist():
-        lo, hi, lo_neg = float(t[i]), float(t[i + 1]), bool(neg[i])
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if (_value(cs, mid) < 0.0) == lo_neg:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        roots.append(mid)
-    return roots
+    neg = np.signbit(p[~unknown])
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
 def count_nodes(f: Eigenfunction) -> NodeReport:
@@ -213,48 +175,23 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
     Raises SolverError where rounding hides the sign of psi inside the
     allowed region (seen from N = 25 at a >= 0).
     """
-    eps = f.state.parity
-    t_roots = _positive_roots(f)
-    locations = [0.0] * eps + [math.sqrt(t) for t in t_roots]
-    return NodeReport(count=2 * len(t_roots) + eps, locations=locations)
+    return NodeReport(count=2 * _positive_roots(f) + f.state.parity)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 _QUAD_NODES = 2001  # trapezoid nodes on the half line
-_EXP_UNDERFLOW = 746.0  # exp(-746) is 0.0 in double precision
-
-
-def integration_cutoff(r: ReducedParams) -> float:
-    """Half-width L with a L^2/2 + b L^4/4 = 40, floored at 6.
-
-    The weight is then ~exp(-40) at the cutoff, far below any polynomial
-    prefactor at double precision.
-    """
-    return max(6.0, r.weight_half_width())
-
-
-def _underflow_width(r: ReducedParams) -> float:
-    """Half-width beyond which the weight exp(-a x^2/2 - b x^4/4) is 0.0."""
-    d = math.sqrt(0.25 * r.a * r.a + _EXP_UNDERFLOW * r.b)
-    # the root of b t^2/4 + a t/2 = 746 in t = x^2, in the form that does not cancel
-    t = 2.0 * _EXP_UNDERFLOW / (0.5 * r.a + d) if r.a >= 0.0 else (d - 0.5 * r.a) / (0.5 * r.b)
-    return math.sqrt(t)
 
 
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     """L2 inner product of f and g over the real line (norm^2 when f is g).
 
     The integrand is smooth, even and decays like exp(-b x^4/2), so the
-    trapezoid rule on fixed nodes over [0, cutoff] converges exponentially
-    (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling it covers the line.
-    The nodes stop where the weight underflows, since psi is exactly 0.0
-    beyond: for a narrow weight (large a or b) the floor of 6 on the cutoff
-    would otherwise leave the peak between nodes.  Then every width of the
-    weight, 1/sqrt(|a| + 3 b x_peak^2) or b^(-1/4) if smaller, holds at least
-    50 steps when a >= 0, and at least 16 when a < 0 wherever psi^2 is finite
-    (it peaks near exp(a^2/(2b)), which overflows beyond a^2 = 1418 b).
+    trapezoid rule on fixed nodes over [0, L] converges exponentially once
+    the nodes cover it (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling
+    it covers the line.  L is psi's support: where |x|^(2N + eps) W, at the
+    larger degree of f and g, has fallen to 1e-16 of its peak.
     """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
@@ -263,7 +200,8 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         )
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    half = min(integration_cutoff(rf), _underflow_width(rf))
+    degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))  # 2N + eps
+    half = support_half_width(rf, degree)
     xs, h = np.linspace(0.0, half, _QUAD_NODES, retstep=True)
     psi = eval_psi(f, xs)
     y = psi * psi if g is f else psi * eval_psi(g, xs)

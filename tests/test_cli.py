@@ -19,7 +19,7 @@ from sextic_qes import (
     spectrum,
 )
 from sextic_qes.cli import _parse_range, main
-from sextic_qes.oracle import potential_value
+from sextic_qes.params import potential_v2
 
 from conftest import run_python
 
@@ -248,13 +248,13 @@ def test_verify_command_n16_odd_shows_box(runner):
 
 
 def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
-    # the weight's width passes the potential rule, V(L) >= E_max + 25, so it
-    # is kept, but it cuts the tail of the top state of N = 16 odd
+    # the weight's e^-40 width passes the potential rule, V(L) >= E_max + 25,
+    # so it is kept, but it cuts the tail of the top state of N = 16 odd
     idx = QesIndex(16, 1)
     p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
-    half_width = reduce(p).weight_half_width()
+    half_width = 5.4229
     e_max = max(st.energy for st in spectrum(reduce(p), idx).states)
-    assert potential_value(p, half_width) >= e_max + 25.0
+    assert potential_v2(p, half_width) / 2.0 >= e_max + 25.0
     result = runner.invoke(
         main,
         ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd",
@@ -263,8 +263,29 @@ def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
     assert result.exit_code == 5, result.output
     lines = result.stdout.splitlines()
     assert lines[0].startswith("16/17 matched")
-    assert lines[1].startswith(f"  box L={half_width:.6f}, ")
+    assert lines[1].startswith("  box L=5.422900, ")
     assert [line.endswith("MISMATCH") for line in lines[2:]] == [False] * 16 + [True]
+
+
+def test_verify_command_estimate_follows_the_matched_levels(runner):
+    # the two levels past N + 1 used to set the estimate: 4.019e-05
+    result = runner.invoke(
+        main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "45", "--grid-points", "201"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[1].endswith("max convergence estimate 9.869e-07")
+
+
+def test_verify_command_accepts_couplings_it_solved(runner):
+    # at eta ~ 1e-6 gamma = sqrt(3/eta) (3 lam^2/(16 eta) - omega2) rounds by
+    # ~1e-7, beyond 1e-8 max(1, g): the solved omega2 used to exit 3
+    result = runner.invoke(
+        main,
+        ["verify", "--lambda", "2.9663546915999577", "--eta", "1.2655601725453689e-06",
+         "--N", "2", "--parity", "odd"],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("3/3 matched")
 
 
 def test_verify_command_n5(runner):

@@ -3,14 +3,11 @@
 Hypothesis checks the kernels against numpy.polynomial directly.  Frozen
 copies of the former numpy.polynomial-based functions then pin every output
 of the evaluation and recurrence paths, NaN-aware, at large N, both parities
-and both signs of a.  Node counts equal the former Sturm counts, and node
-locations lie within their rounding bound of the mpmath roots of the same
-float polynomial.
+and both signs of a.  Node counts equal the former Sturm counts.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -28,16 +25,13 @@ from sextic_qes import (
     reduce,
     spectrum,
 )
-from sextic_qes.oracle import potential_value, support_half_width
+from sextic_qes.params import potential_v2, support_half_width, turning_point
 from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     _derivative,
     _horner,
-    _positive_roots,
-    _value,
     count_nodes,
     eval_psi,
-    integration_cutoff,
     norm_and_inner,
     ode_residual,
     psi_second_derivative,
@@ -89,19 +83,6 @@ def test_horner_step2_on_parity_structured_coefficients(cs, x, negative_zero):
         assert np.array_equal(_horner(c, x, 2), npoly.polyval(x, c), equal_nan=True)
 
 
-@given(coeff_lists, floats)
-@example([-0.0], -2.0)
-@example([2.0], math.inf)
-@example([2.0], math.nan)
-@example([1.0, 3.0], -math.inf)
-def test_value_is_polyval(cs, t):
-    c = np.array(cs)
-    with np.errstate(all="ignore"):
-        expect = float(npoly.polyval(t, c))
-    got = _value(c.tolist(), t)
-    assert type(got) is float and identical(got, expect)
-
-
 @given(coeff_lists)
 @example([math.inf])
 @example([1.0, -0.0, math.nan, math.inf])
@@ -117,6 +98,11 @@ def test_derivative_of_a_constant_is_zero():
 
 # ---------------------------------------------------------------------------
 # frozen copies of the former functions
+
+
+def _former_cutoff(r):
+    """Half-width where the weight fell to exp(-40), floored at 6: the former quadrature box."""
+    return max(6.0, math.sqrt((-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b)))
 
 
 def _former_eval_psi(f, x):
@@ -221,9 +207,7 @@ def _former_positive_roots(coeffs):
 
 
 def _former_count_nodes(f):
-    eps = f.state.parity
-    t_roots = _former_positive_roots(f.state.coeffs)
-    return 2 * len(t_roots) + eps, [0.0] * eps + [math.sqrt(t) for t in t_roots]
+    return 2 * len(_former_positive_roots(f.state.coeffs)) + f.state.parity
 
 
 def _former_coefficients_from_energy(energy, r, idx):
@@ -286,7 +270,7 @@ def sampled(states):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 50, 100])
 def test_evaluation_keeps_former_bits(n):
     for idx, s in blocks([n]):
-        cut = integration_cutoff(s.reduced)
+        cut = _former_cutoff(s.reduced)
         xs = np.linspace(-cut, cut, 301)
         for state in sampled(s.states):
             f = Eigenfunction(state=state, reduced=s.reduced)
@@ -303,33 +287,12 @@ def test_evaluation_keeps_former_bits(n):
             assert same(psi * psi, _former_eval_psi(f, xs) * _former_eval_psi(f, xs))
 
 
-def mp_root_error(coeffs, t: float) -> float:
-    """|t - the mpmath root of the float polynomial nearest t| over its rounding bound.
-
-    The bound is (N+1) u sum |A_n| t^n / |p'(t)| + 2 ulp(t): Horner's error
-    bound (Higham 2002, 5.1) over the slope, plus the rounding of t itself.
-    """
-    with mpmath.workdps(60):
-        cs = [mpmath.mpf(float(c)) for c in coeffs[::-1]]  # exact, high-to-low
-        root = mpmath.findroot(lambda x: mpmath.polyval(cs, x), mpmath.mpf(t))
-        abs_sum = mpmath.polyval([abs(c) for c in cs], root)
-        _, slope = mpmath.polyval(cs, root, derivative=True)
-        u = np.finfo(float).eps / 2
-        bound = len(coeffs) * u * abs_sum / abs(slope) + 2 * np.spacing(t)
-        return float(abs(t - root) / bound)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])  # the former code takes ~1 s at N = 14
 def test_node_counts_keep_former_bits(n):
     for _, s in blocks([n]):
         for state in s.states:
             f = Eigenfunction(state=state, reduced=s.reduced)
-            report = count_nodes(f)
-            assert report.count == _former_count_nodes(f)[0]
-            t_roots = _positive_roots(f)
-            assert report.locations == [0.0] * state.parity + [math.sqrt(t) for t in t_roots]
-            for t in t_roots:
-                assert mp_root_error(state.coeffs, t) <= 1.0
+            assert count_nodes(f).count == _former_count_nodes(f)
 
 
 def outcome(fn, *args):
@@ -355,19 +318,21 @@ def test_recurrence_keeps_former_bits(n):
 
 
 @pytest.mark.parametrize("e_max", [9.2, 1e3])  # the support's width binds, then the potential's
-def test_weight_width_keeps_former_bits(e_max):
+def test_default_grid_box_is_turning_point_or_support(e_max):
+    # L is the larger of the outer turning point at e_max + 25 and 1.2x the
+    # width of the degree-(gamma - 3)/2 envelope (2N + eps on the constraint)
+    binds = 0
     for omega_sq, lam, eta in [(0.3, 0.5, 0.03), (2.0, -1.0, 0.2), (-3.0, 0.1, 1e-3)]:
         p = CouplingParams(omega_sq=omega_sq, lam=lam, eta=eta)
         r = reduce(p)
-        width = math.sqrt((-0.5 * r.a + math.sqrt(0.25 * r.a**2 + 40.0 * r.b)) / (0.5 * r.b))
-        assert integration_cutoff(r) == max(6.0, width)
-        # the oracle's box: the potential rule, and 1.2x the width of the
-        # degree-(gamma - 3)/2 envelope (2N + eps on the constraint)
-        half = 1.0
-        while potential_value(p, half) < e_max + 25.0:
-            half *= 1.05
-        support = support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
-        assert default_grid(p, e_max).half_width == max(half, 1.2 * support)
+        turn = math.sqrt(turning_point(p, e_max + 25.0))
+        support = 1.2 * support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
+        half = default_grid(p, e_max).half_width
+        assert half == max(turn, support)
+        if turn > support:
+            binds += 1
+            assert potential_v2(p, half) == pytest.approx(2.0 * (e_max + 25.0), rel=1e-12)
+    assert binds == (e_max == 1e3)
 
 
 def test_self_norm_keeps_former_bits():

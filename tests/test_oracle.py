@@ -26,9 +26,8 @@ from sextic_qes.oracle import (
     Match,
     _sinc_levels,
     _sinc_matrix,
-    potential_value,
-    support_half_width,
 )
+from sextic_qes.params import potential_v2, support_half_width
 
 TABLE1 = CouplingParams(0.0625, 0.5, 0.03)
 TABLE2 = CouplingParams(-0.1375, 0.5, 0.03)
@@ -45,7 +44,7 @@ def test_grid_spec_validation():
 
 def test_default_grid_covers_turning_region():
     g = default_grid(TABLE1, e_max=9.2)
-    assert potential_value(TABLE1, g.half_width) >= 9.2 + 25.0
+    assert potential_v2(TABLE1, g.half_width) / 2.0 >= 9.2 + 25.0
 
 
 @pytest.mark.parametrize(
@@ -160,7 +159,7 @@ def test_report_carries_convergence_and_box():
     s = spectrum(reduce(TABLE1), idx)
     report = verify_qes(s, TABLE1)
     grid = default_grid(TABLE1, max(state.energy for state in s.states))
-    k = len(s.states) + 2
+    k = len(s.states)  # the oracle solves for the matched levels only
     assert report.half_width == grid.half_width
     assert report.points % 2 == 1 and 2 * 40 + 1 <= report.points <= grid.points
     assert len(report.eigenvalues) == len(report.convergence_estimate) == k
@@ -189,7 +188,9 @@ def _former_sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: in
         mat = (toeplitz - hankel)[1:, 1:]
     mat /= h * h
     x = np.arange(parity, n + 1) * h
-    mat[np.diag_indices_from(mat)] += 2.0 * potential_value(p, x)
+    x2 = x * x
+    potential = 0.5 * p.omega_sq * x2 + 0.25 * p.lam * x2 * x2 + p.eta * x2 * x2 * x2 / 6.0
+    mat[np.diag_indices_from(mat)] += 2.0 * potential
     return mat
 
 

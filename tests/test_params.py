@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sextic_qes import (
+    ConstraintViolationError,
     CouplingParams,
     InvalidCouplingError,
     NoSolutionError,
@@ -12,6 +15,7 @@ from sextic_qes import (
     reduce,
     solve_constraint,
 )
+from sextic_qes.params import check_constraint
 
 
 def test_reduce_paper_values():
@@ -187,3 +191,26 @@ def test_qes_index_validation():
         QesIndex(-1, 0)
     with pytest.raises(ValueError):
         QesIndex(2, 2)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0), st.integers(0, 100), st.integers(0, 1))
+@example(2.9663546915999577, math.log10(1.2655601725453689e-06), 2, 1)  # gamma off by 1.3e-7
+def test_solved_couplings_pass_the_constraint_check(lam, log_eta, n, eps):
+    # gamma cancels at small eta, so its rounding can pass 1e-8 max(1, g)
+    idx = QesIndex(n, eps)
+    p = solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0]
+    check_constraint(reduce(p), idx)
+    check_constraint(reduce(solve_constraint(idx, omega_sq=p.omega_sq, lam=lam)[0]), idx)
+
+
+def test_constraint_check_keeps_its_bound_where_gamma_rounds_finely():
+    idx = QesIndex(3, 0)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    b = math.sqrt(0.03 / 3.0)
+    for off, ok in ((0.5e-8, True), (2e-8, False)):  # times max(1, g) = 15, moved through omega2
+        r = reduce(CouplingParams(p.omega_sq - off * 15.0 * b, 0.5, 0.03))
+        if ok:
+            check_constraint(r, idx)
+        else:
+            with pytest.raises(ConstraintViolationError):
+                check_constraint(r, idx)

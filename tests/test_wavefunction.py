@@ -27,7 +27,8 @@ from sextic_qes import (
     spectrum_general,
 )
 from sextic_qes.qes_core import QesState, closure_reduced
-from sextic_qes.wavefunction import integration_cutoff, psi_second_derivative
+from sextic_qes.params import support_half_width
+from sextic_qes.wavefunction import _weight, psi_second_derivative
 
 from conftest import random_ab, run_python
 
@@ -172,13 +173,6 @@ def test_n2_second_excited_has_4_nodes(rng):
         assert count_nodes(funcs[2]).count == 4
 
 
-def test_node_locations_are_roots():
-    funcs, _ = eigenfunctions(1.25, 0.1, 3, 0)
-    rep = count_nodes(funcs[3])
-    for x in rep.locations:
-        assert abs(float(eval_psi(funcs[3], x))) < 1e-9
-
-
 def test_node_ordering_law(rng):
     for a, b in random_ab(rng, 8):
         for n in range(5):
@@ -245,11 +239,15 @@ def test_large_n_counts_obey_the_node_law_or_raise(lam, eta):
 # quadrature
 
 
-def test_cutoff_bound():
-    r = reduced(1.0, 0.5, QesIndex(0, 0))
-    cut = integration_cutoff(r)
-    assert cut >= 6.0
-    assert 0.5 * r.a * cut**2 + 0.25 * r.b * cut**4 >= 40.0 - 1e-9
+@given(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0), st.integers(0, 100), st.integers(0, 1))
+def test_cutoff_bound(lam, log_eta, n, eps):
+    # psi's support at degree 2N + eps, the norm's box, ends before the
+    # weight underflows, so no node of the trapezoid rule is wasted on zeros
+    idx = QesIndex(n, eps)
+    r = reduce(solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0])
+    edge = support_half_width(r, 2 * n + eps)
+    with np.errstate(over="ignore"):  # W is inf there once a^2 > 2836 b, and psi^2 is anyway
+        assert _weight(r, np.array([edge]))[0] > 0.0
 
 
 def test_even_odd_inner_product_zero():
@@ -280,15 +278,20 @@ def _ode_certificate(f, xs):
     return np.max(np.abs(d2 + kin)) / np.max(np.abs(d2) + np.abs(kin))
 
 
-@pytest.mark.parametrize("a, b", [(1.25, 0.1), (-1.5, 0.3)])
-def test_trapezoid_norm_matches_adaptive_quadrature(a, b):
+@pytest.mark.parametrize(
+    "a, b, ns, n_certified",
+    [(1.25, 0.1, range(13), 170), (-1.5, 0.3, range(13), 170), (0.0, 0.1, [20], 32)],
+    ids=["1.25-0.1", "-1.5-0.3", "0.0-0.1-N20"],  # of 182, 182 and 42 states
+)
+def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
     # every state whose ODE residual certifies it (rel <= 1e-9); the states
-    # left out are limited by monomial cancellation, not by the quadrature
+    # left out are limited by monomial cancellation, not by the quadrature.
+    # At N = 20 a box blind to the degree cut the top states' tails (5e-10).
     checked = 0
-    for n in range(13):
+    for n in ns:
         for eps in (0, 1):
             funcs, s = eigenfunctions(a, b, n, eps)
-            cut = integration_cutoff(s.reduced)
+            cut = support_half_width(s.reduced, 2 * n + eps)
             for f in funcs:
                 if _ode_certificate(f, np.linspace(0.0, cut, 1001)) > 1e-9:
                     continue
@@ -298,7 +301,7 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b):
                 )
                 assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
                 checked += 1
-    assert checked >= 170  # of 182 states
+    assert checked >= n_certified
 
 
 @pytest.mark.parametrize(
