@@ -29,7 +29,6 @@ from .qes_core import (
     solve_quartic_real,
     spectrum,
     spectrum_closed_form,
-    spectrum_general,
 )
 from .wavefunction import (
     Eigenfunction,

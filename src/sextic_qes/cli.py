@@ -43,7 +43,6 @@ _lam = click.option("--lambda", "lam", type=float, default=None, help="Quartic c
 _eta = click.option("--eta", type=float, default=None, help="Sextic coupling (> 0).")
 _n_cap = click.option("--N", "n_cap", type=click.IntRange(min=0), required=True, help="Polynomial degree index N.")
 _parity = click.option("--parity", type=click.Choice(["even", "odd"]), default="even", show_default=True)
-_force_general = click.option("--force-general", is_flag=True, help="Use the tridiagonal solver even for N <= 3.")
 
 
 def _format(choices: list[str], default: str):
@@ -65,11 +64,11 @@ def _options(*options):
     return apply
 
 
-_BLOCK = (_omega2, _lam, _eta, _n_cap, _parity, _force_general)
+_BLOCK = (_omega2, _lam, _eta, _n_cap, _parity)
 
 
 def _solve_block(
-    omega2, lam, eta, n_cap: int, parity: str, force_general: bool, enforce: bool = True
+    omega2, lam, eta, n_cap: int, parity: str, enforce: bool = True
 ) -> tuple[CouplingParams, qes_core.QesSpectrum, bool]:
     """Couplings satisfying the constraint (unless not enforce), and their spectrum.
 
@@ -88,7 +87,7 @@ def _solve_block(
     r = params_mod.reduce(p)
     if enforce and not solved:
         params_mod.check_constraint(r, idx)
-    return p, qes_core.spectrum(r, idx, force_general=force_general), solved
+    return p, qes_core.spectrum(r, idx), solved
 
 
 def _format_table(spec: qes_core.QesSpectrum) -> str:
@@ -202,9 +201,9 @@ def main():
     help="Accept an omega2 that violates the constraint (coefficients depend only on a, b).",
 )
 @_options(_format(["human", "csv", "json"], "human"), _out())
-def cmd_table(omega2, lam, eta, n_cap, parity, force_general, paper_caption_omega, fmt, out):
+def cmd_table(omega2, lam, eta, n_cap, parity, paper_caption_omega, fmt, out):
     """Print the coefficient/eigenvalue table for one (N, parity) block."""
-    p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity, force_general, not paper_caption_omega)
+    p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity, not paper_caption_omega)
     if paper_caption_omega:
         click.echo(
             "note: constraint not enforced; table uses the closure values of (c, gamma)",
@@ -227,9 +226,9 @@ def cmd_table(omega2, lam, eta, n_cap, parity, force_general, paper_caption_omeg
 
 @main.command("spectrum")
 @_options(*_BLOCK, _format(["human", "csv", "json"], "human"), _out())
-def cmd_spectrum(omega2, lam, eta, n_cap, parity, force_general, fmt, out):
+def cmd_spectrum(omega2, lam, eta, n_cap, parity, fmt, out):
     """Print energies, coefficients, node counts and norms at full precision."""
-    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity)
     records = _state_records(spec)
 
     if fmt == "human":
@@ -271,9 +270,9 @@ def cmd_constraint(omega2, lam, eta, n_cap, parity):
 @_options(*_BLOCK, _format(["csv", "json"], "json"))
 @click.option("--samples", default=None, help="Wavefunction sample grid MIN:MAX:STEP.")
 @_out(required=True)
-def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out):
+def cmd_export(omega2, lam, eta, n_cap, parity, fmt, samples, out):
     """Write the spectrum (and optional wavefunction samples) to a file."""
-    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity)
     records = _state_records(spec, with_nodes=samples is None or fmt == "json")  # CSV samples omit them
     if samples is None:
         _write_output(_json(p, spec, records) if fmt == "json" else _states_csv(records, n_cap), out)
@@ -300,9 +299,9 @@ def cmd_export(omega2, lam, eta, n_cap, parity, force_general, fmt, samples, out
     help="Most points on [-L, L] the oracle may use.",
 )
 @click.option("--half-width", type=float, default=None, help="Override the automatic box size.")
-def cmd_verify(omega2, lam, eta, n_cap, parity, force_general, grid_points, half_width):
+def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
     """Check every exact level against the sinc-collocation spectrum."""
-    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity, force_general)
+    p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity)
     if half_width is not None:
         grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
     else:
@@ -335,8 +334,8 @@ def _parse_scan(spec: str) -> tuple[str, np.ndarray]:
 
 @main.command("scan")
 @click.option("--scan", "scans", multiple=True, required=True, help="NAME=START:STOP:STEP (1 or 2).")
-@_options(_lam, _eta, _n_cap, _parity, _force_general, _out())
-def cmd_scan(scans, lam, eta, n_cap, parity, force_general, out):
+@_options(_lam, _eta, _n_cap, _parity, _out())
+def cmd_scan(scans, lam, eta, n_cap, parity, out):
     """Sweep one or two couplings; omega2 is constraint-solved at each point.
 
     Per-point failures are recorded in the error column and the scan continues.
@@ -368,7 +367,7 @@ def cmd_scan(scans, lam, eta, n_cap, parity, force_general, out):
         row_lam, row_eta = vals["lambda"], vals["eta"]
         try:
             p = params_mod.solve_constraint(idx, omega_sq=None, lam=row_lam, eta=row_eta)[0]
-            spec = qes_core.spectrum(params_mod.reduce(p), idx, force_general=force_general)
+            spec = qes_core.spectrum(params_mod.reduce(p), idx)
             energies = [repr(float(st.energy)) for st in spec.states]
             rows.append([repr(row_lam), repr(row_eta), repr(p.omega_sq)] + energies + [""])
         except QesError as exc:

@@ -198,11 +198,11 @@ def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
     disc = -4.0 * p**3 - 27.0 * q**2
     if disc > 0:
         return [u + shift for u in solve_cubic_trig(p, q)]
-    # one real root (Cardano)
+    # one real root (Cardano): u^3 is the one of -q/2 +- h that does not cancel, and u v = -p/3
     h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
-    u = math.copysign(abs(-q / 2.0 + h) ** (1.0 / 3.0), -q / 2.0 + h)
-    v = math.copysign(abs(-q / 2.0 - h) ** (1.0 / 3.0), -q / 2.0 - h)
-    return [u + v + shift]
+    w = -q / 2.0 + math.copysign(h, -q / 2.0)
+    u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+    return [u - p / (3.0 * u) + shift if u else shift]
 
 
 def solve_constraint(

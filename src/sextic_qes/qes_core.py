@@ -4,7 +4,9 @@ Writing psi(x) = x^eps * sum_n A_n x^{2n} * exp(-a x^2/2 - b x^4/4), the
 coefficients obey a three-term recurrence that closes at degree N when
 c = -2b(2N + eps).  The recurrence is equivalent to a tridiagonal eigenproblem
 M A = 2E A whose off-diagonal product is positive, so all eigenvalues are real.
-Closed forms exist for N <= 3 (quadratic, cubic, quartic in A_1).
+Every N takes one path: eigvalsh for the energies, a twisted factorization for
+A.  The paper's closed forms for N <= 3 (quadratic, cubic, quartic in A_1) stay
+as a cross-check.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from .errors import NonEigenvalueError, SolverError
 from .params import QesIndex, ReducedParams, _cubic_real_roots, solve_cubic_trig
 
-_EIG_RTOL = 1e-10
-_ROW_RTOL = 1e-8
+_PIVOT_RTOL = 1e-8  # |gamma_k| of an eigenvalue, relative to max(1, ||T||)
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,10 @@ class QesSpectrum:
     states: list[QesState]
 
 
+def _state(energy: float, coeffs: np.ndarray, idx: QesIndex, label: int) -> QesState:
+    return QesState(energy, coeffs, idx.parity, expected_nodes=2 * label + idx.parity, label=label)
+
+
 def closure_reduced(r: ReducedParams, idx: QesIndex) -> ReducedParams:
     """Reduced parameters with c and gamma forced onto the closure constraint."""
     n, eps = idx.n_cap, idx.parity
@@ -100,82 +105,72 @@ def eigenvalues(m: RecurrenceMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(t)
 
 
-def _forward_recurrence(energies: np.ndarray, rc: ReducedParams, idx: QesIndex) -> np.ndarray:
-    """Row k holds A_0..A_N for energies[k], validated on the closure row.
+def _twisted_ratios(m: RecurrenceMatrix, theta: np.ndarray, norm: float):
+    """Ratios A_{n+1}/A_n of the null vector of M - theta, each from its stable end.
 
-    The recurrence runs once for all energies, one column (degree) per step.
-    Raises NonEigenvalueError, naming the first failing energy, when the
-    closure row does not vanish, i.e. that energy is not an eigenvalue of the
-    recurrence system.
+    Column j belongs to theta[j].  With d, u, l the diagonal, super- and subdiagonal
+    of M, q+_n = u_{n-1} l_{n-1} / D+_{n-1} and q-_n = u_n l_n / D-_{n+1} give the
+    top-down and bottom-up pivots D+-_n = d_n - theta - q+-_n (one loop: bottom-up
+    is top-down on the reversed matrix).  The twist k minimises |gamma_k| = |D+_k +
+    D-_k - (d_k - theta)|; the ratio is -D+_n/u_n below k and -l_n/D-_{n+1} from k
+    on (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997).  A pivot that rounds to 0
+    moves its theta by eps ||T||, within theta's rounding.  Returns (ratios (N, K),
+    k (K,), gamma_k (K,)).
     """
-    n_cap, eps = idx.n_cap, idx.parity
-    a, b, c = rc.a, rc.b, rc.c
-    two_e = 2.0 * energies
+    u, l, cols = m.superdiag[:, None], m.subdiag[:, None], np.arange(len(theta))
+    dt = m.diag[:, None] - theta
+    dts = np.array([dt, dt[::-1]]).swapaxes(0, 1)  # (N+1, 2, K): top-down, then bottom-up
+    prods = np.array([u * l, (u * l)[::-1]]).swapaxes(0, 1)
+    q = np.zeros((m.dim, 2, len(theta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p_row, d_row, q_row, q_next in zip(prods, dts, q, q[1:]):
+            np.divide(p_row, d_row - q_row, out=q_next)
+        down, up = dt - q[:, 0], dt - q[::-1, 1]  # D+ and D-
+        gamma = down + up - dt
+    if not np.isfinite(gamma).all():
+        stuck = ~np.isfinite(gamma).all(axis=0)
+        return _twisted_ratios(m, theta + stuck * (np.finfo(float).eps * norm), norm)
+    k = np.abs(gamma).argmin(axis=0)
+    ratios = np.where(np.arange(m.dim - 1)[:, None] < k, down[:-1] / u, l / up[1:])
+    return -ratios, k, gamma[k, cols]
 
-    coeffs = np.empty((len(energies), n_cap + 1))
-    coeffs[:, 0] = 1.0
-    if n_cap == 0:
-        res = two_e - a * (1 + 2 * eps)
-        bad = np.flatnonzero(np.abs(res) > _ROW_RTOL * max(1.0, abs(a)))
-        if bad.size:
-            k = bad[0]
-            raise NonEigenvalueError(f"E={float(energies[k])} is not an eigenvalue (residual {res[k]:.3e})")
-        return coeffs
 
-    coeffs[:, 1] = (a * (1 + 2 * eps) - two_e) / ((1 + eps) * (2 + eps))
-    for n in range(1, n_cap):
-        coeffs[:, n + 1] = (
-            (c + 2 * b * (2 * n - 2 + eps)) * coeffs[:, n - 1]
-            - (two_e - a - 2 * a * (2 * n + eps)) * coeffs[:, n]
-        ) / ((2 * n + 1 + eps) * (2 * n + 2 + eps))
+def _coefficients(m: RecurrenceMatrix, theta: np.ndarray, refine: bool) -> np.ndarray:
+    """Row j holds A_0..A_N (A_0 = 1) of the eigenvalue theta[j] of M.
 
-    # closure row n = N, with A_{N+1} = 0
-    diag = two_e - a - 2 * a * (2 * n_cap + eps)
-    off = c + 2 * b * (2 * n_cap - 2 + eps)
-    res = diag * coeffs[:, n_cap] - off * coeffs[:, n_cap - 1]
-    # fmax, like max(1.0, v), ignores a NaN v
-    scale = np.fmax(1.0, np.max(np.abs(coeffs), axis=1)) * np.fmax(1.0, np.abs(diag) + abs(off))
-    bad = np.flatnonzero(np.abs(res) > _ROW_RTOL * scale)
+    Raises NonEigenvalueError, naming the first failing theta, when
+    |gamma_k| > 1e-8 max(1, ||T||), T the symmetrised M: 1/|gamma_k| =
+    |[(T - theta)^-1]_kk| <= 1/dist(theta, spectrum), so a small gamma_k puts
+    theta that close to an eigenvalue.  ||T|| is bounded by max|d| + 2 max sqrt(u l).
+    With refine, one Rayleigh step theta + gamma_k/||z||^2, z = D^-1 A scaled to
+    z_k = 1 and summed in logs, steers the vector: the ratios are formed again
+    where it moved theta.
+    """
+    norm = float(np.max(np.abs(m.diag)) + 2.0 * np.sqrt(np.max(m.superdiag * m.subdiag, initial=0.0)))
+    ratios, k, gamma = _twisted_ratios(m, theta, norm)
+    bad = np.flatnonzero(np.abs(gamma) > _PIVOT_RTOL * max(1.0, norm))
     if bad.size:
-        k = bad[0]
-        raise NonEigenvalueError(
-            f"E={float(energies[k])} is not an eigenvalue (closure residual {res[k]:.3e})"
-        )
+        j = bad[0]
+        raise NonEigenvalueError(f"E={theta[j] / 2.0} is not an eigenvalue (twist pivot {gamma[j]:.3e})")
+    if refine:
+        log_z = np.zeros((m.dim, len(theta)))  # z_{n+1}/z_n = (A_{n+1}/A_n) sqrt(u_n/l_n)
+        np.cumsum(np.log(np.abs(ratios) * np.sqrt(m.superdiag / m.subdiag)[:, None]), axis=0, out=log_z[1:])
+        shifted = theta + gamma / np.exp(2.0 * (log_z - log_z[k, np.arange(len(theta))])).sum(axis=0)
+        moved = shifted != theta
+        if moved.any():
+            ratios[:, moved] = _twisted_ratios(m, shifted[moved], norm)[0]
+    coeffs = np.ones((len(theta), m.dim))
+    np.cumprod(ratios.T, axis=1, out=coeffs[:, 1:])
     return coeffs
 
 
-def coefficients_from_energy(
-    energy: float, r: ReducedParams, idx: QesIndex
-) -> np.ndarray:
-    """Coefficients A_0..A_N by forward recurrence, validated on the last row.
+def coefficients_from_energy(energy: float, r: ReducedParams, idx: QesIndex) -> np.ndarray:
+    """Coefficients A_0..A_N of the eigenvalue 2E of M, by the twisted recurrence.
 
-    Raises NonEigenvalueError when the closure row does not vanish, i.e. the
-    supplied energy is not an eigenvalue of the recurrence system.
+    Raises NonEigenvalueError when 2E is not within 1e-8 max(1, ||T||) of an
+    eigenvalue of the recurrence system.
     """
-    return _forward_recurrence(np.array([energy]), closure_reduced(r, idx), idx)[0]
-
-
-def _make_spectrum(energies: np.ndarray, r: ReducedParams, idx: QesIndex) -> QesSpectrum:
-    rc = closure_reduced(r, idx)
-    energies = np.sort(energies)
-    coeffs = _forward_recurrence(energies, rc, idx)
-    states = [
-        QesState(
-            energy=float(e),
-            coeffs=coeffs[m],
-            parity=idx.parity,
-            expected_nodes=2 * m + idx.parity,
-            label=m,
-        )
-        for m, e in enumerate(energies)
-    ]
-    return QesSpectrum(index=idx, reduced=rc, states=states)
-
-
-def spectrum_general(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
-    """All N+1 eigenpairs for any N via the symmetrized tridiagonal eigensolve."""
-    m = build_recurrence_matrix(r, idx)
-    return _make_spectrum(eigenvalues(m) / 2.0, r, idx)
+    return _coefficients(build_recurrence_matrix(r, idx), np.array([2.0 * energy]), refine=False)[0]
 
 
 def solve_quartic_real(p: float, q: float, r: float) -> np.ndarray:
@@ -300,10 +295,10 @@ def _rational_coeffs(a1: float, r: ReducedParams, idx: QesIndex) -> np.ndarray:
 
 
 def spectrum_closed_form(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
-    """Exact spectrum for N <= 3; same content as spectrum_general.
+    """Exact spectrum for N <= 3 from the paper's closed forms; a cross-check of spectrum.
 
     Coefficients come from the rational back-substitution formulas; if one of
-    their denominators is near-singular the forward recurrence is used for
+    their denominators is near-singular the twisted recurrence is used for
     that state instead.
     """
     if idx.n_cap > 3:
@@ -320,23 +315,16 @@ def spectrum_closed_form(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
             coeffs = _rational_coeffs(a1, rc, idx)
         except SolverError:
             coeffs = coefficients_from_energy(e, rc, idx)
-        states.append(
-            QesState(
-                energy=e,
-                coeffs=coeffs,
-                parity=idx.parity,
-                expected_nodes=2 * m + idx.parity,
-                label=m,
-            )
-        )
+        states.append(_state(e, coeffs, idx, m))
     return QesSpectrum(index=idx, reduced=rc, states=states)
 
 
-def spectrum(r: ReducedParams, idx: QesIndex, force_general: bool = False) -> QesSpectrum:
-    """Closed form when available (N <= 3), general eigensolve otherwise."""
-    if force_general or idx.n_cap > 3:
-        return spectrum_general(r, idx)
-    try:
-        return spectrum_closed_form(r, idx)
-    except SolverError:
-        return spectrum_general(r, idx)
+def spectrum(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
+    """All N+1 eigenpairs: E = theta/2 from eigvalsh of the symmetrised M, and A
+    from the twisted recurrence at theta, steered by one Rayleigh step."""
+    rc = closure_reduced(r, idx)
+    m = build_recurrence_matrix(rc, idx)
+    theta = eigenvalues(m)
+    coeffs = _coefficients(m, theta, refine=True)
+    states = [_state(float(t / 2.0), c, idx, j) for j, (t, c) in enumerate(zip(theta, coeffs))]
+    return QesSpectrum(index=idx, reduced=rc, states=states)

@@ -1,8 +1,8 @@
 """Eigenfunction evaluation, node counting, inner products, ODE residuals.
 
 An eigenfunction is x^eps * (sum_n A_n x^{2n}) * exp(-a x^2/2 - b x^4/4).
-Derivatives are taken analytically (polynomial algebra times the exponential),
-never by finite differences; numeric differentiation appears only in tests.
+Derivatives are taken analytically (polynomial algebra in t = x^2 times the
+exponential), never by finite differences; numeric differentiation appears only in tests.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import SolverError, WeightMismatchError
 from .params import ReducedParams, potential_v2, support_half_width, turning_point, well_bottom
@@ -42,36 +41,13 @@ def _weight(r: ReducedParams, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * r.a * x2 - 0.25 * r.b * x2 * x2)
 
 
-def _horner(c: np.ndarray, x, step: int = 1):
-    """sum_k c[k] x^k by Horner's rule, bit-identical to npoly.polyval(x, c).
-
-    The same IEEE operations run in the same order, in place on one
-    accumulator.  With step=2 the coefficient is added only every second
-    degree, counted down from the top; the skipped coefficients must be zero,
-    and skipping their + 0.0 can change no more than the sign of a zero.
-    """
+def _horner(c: np.ndarray, x):
+    """sum_k c[k] x^k by Horner's rule in place, with the IEEE operations of numpy's polyval(x, c)."""
     acc = c[-1] + x * 0.0
-    for i, ck in enumerate(c[-2::-1], 1):
+    for ck in c[-2::-1]:
         acc *= x
-        if i % step == 0:
-            acc += ck
+        acc += ck
     return acc
-
-
-def _derivative(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative, bit-identical to npoly.polyder(c)."""
-    if len(c) == 1:
-        return c * 0.0
-    return c[1:] * np.arange(1, len(c))
-
-
-def _poly_in_x(f: Eigenfunction) -> np.ndarray:
-    """Coefficients of y(x) = x^eps * sum A_n x^{2n} (low-to-high in x)."""
-    eps = f.state.parity
-    coeffs = f.state.coeffs
-    y = np.zeros(2 * (len(coeffs) - 1) + eps + 1)
-    y[eps::2] = coeffs
-    return y
 
 
 def _scaled(f: Eigenfunction, y):
@@ -91,29 +67,30 @@ def eval_psi(f: Eigenfunction, x) -> np.ndarray:
     return _psi_over_weight(f, x) * _weight(f.reduced, x)
 
 
-def _second_derivative_over_weight(f: Eigenfunction, x: np.ndarray):
-    """psi''/W, a polynomial in x of the parity of psi, from the product rule
-    (times norm_constant, if set)."""
-    a, b = f.reduced.a, f.reduced.b
-    y = _poly_in_x(f)
-    yp = _derivative(y)
-    ypp = _derivative(yp)
-    g = np.array([0.0, a, 0.0, b])  # -(log W)' = a x + b x^3
-    q = (
-        npoly.polyadd(
-            npoly.polysub(ypp, 2.0 * npoly.polymul(g, yp)),
-            npoly.polymul(npoly.polysub(npoly.polymul(g, g), np.array([a, 0.0, 3.0 * b])), y),
-        )
-    )
-    # the degrees of the other parity hold zeros, unless a coefficient is not
-    # finite (inf * 0 puts NaN there): then the full sum keeps the NaN
-    return _scaled(f, _horner(q, x, step=1 if q[-2::-2].any() else 2))
+def _psi_and_d2_over_weight(f: Eigenfunction, x: np.ndarray):
+    """(psi/W, psi''/W) from P, M and L, each by Horner in t = x^2 (times norm_constant, if set).
+
+    With P(t) = sum A_n t^n, M = eps P + 2t P', L = (4 eps + 2) P' + 4t P'' and
+    s = a + b t, so that -(log W)' = x s, the product rule on x^eps P(t) W gives
+    psi''/W = x^eps [L - 2s M + (t s^2 - s - 2bt) P].  s vanishes at the wells of
+    a < 0, where the expansion of psi''/W in powers of t would cancel.  psi/W has
+    the bits of eval_psi.
+    """
+    a, b, eps, c = f.reduced.a, f.reduced.b, f.state.parity, f.state.coeffs
+    n = np.arange(len(c))
+    l_coeffs = np.append(2 * n[1:] * (2 * n[1:] + 2 * eps - 1) * c[1:], 0.0)
+    t = x * x
+    p, m, l = (_horner(d, t) for d in (c, (2 * n + eps) * c, l_coeffs))
+    s = a + b * t
+    d2 = l - 2.0 * s * m + (t * s * s - s - 2.0 * b * t) * p
+    lead = x if eps else 1.0
+    return _scaled(f, lead * p), _scaled(f, lead * d2)
 
 
 def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
     """psi''(x) from the exact product rule on polynomial times weight."""
     x = np.asarray(x, dtype=float)
-    return _second_derivative_over_weight(f, x) * _weight(f.reduced, x)
+    return _psi_and_d2_over_weight(f, x)[1] * _weight(f.reduced, x)
 
 
 def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
@@ -122,8 +99,8 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
     r = f.reduced
     v2 = potential_v2(r.couplings(), xs)
     w = _weight(r, xs)
-    psi = _psi_over_weight(f, xs) * w
-    return _second_derivative_over_weight(f, xs) * w + (2.0 * energy - v2) * psi
+    psi, d2 = _psi_and_d2_over_weight(f, xs)
+    return d2 * w + (2.0 * energy - v2) * (psi * w)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +179,8 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         return 0.0  # odd integrand
     degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))  # 2N + eps
     half = support_half_width(rf, degree)
-    xs, h = np.linspace(0.0, half, _QUAD_NODES, retstep=True)
+    xs = np.linspace(0.0, half, _QUAD_NODES)
+    h = half / (_QUAD_NODES - 1)  # linspace's own spacing
     psi = eval_psi(f, xs)
     y = psi * psi if g is f else psi * eval_psi(g, xs)
     return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))

@@ -21,8 +21,8 @@ from sextic_qes import (
     reduce,
     solve_constraint,
     solve_quartic_real,
+    spectrum,
     spectrum_closed_form,
-    spectrum_general,
     ode_residual,
     eval_psi,
     verify_qes,
@@ -104,7 +104,7 @@ def test_n2_trig_vs_general_with_sign_pattern():
         r = ReducedParams(a=a, b=b, c=0.0, gamma=0.0)
         for eps in (0, 1):
             cf = spectrum_closed_form(r, QesIndex(2, eps))
-            gen = spectrum_general(r, QesIndex(2, eps))
+            gen = spectrum(r, QesIndex(2, eps))
             for s1, s2 in zip(cf.states, gen.states):
                 assert s1.energy == pytest.approx(s2.energy, rel=1e-10, abs=1e-10)
                 assert s1.coeffs == pytest.approx(s2.coeffs, rel=1e-10, abs=1e-10)
@@ -132,7 +132,7 @@ def test_vieta_and_trace():
         for n in range(7):
             for eps in (0, 1):
                 idx = QesIndex(n, eps)
-                spec = spectrum_general(r, idx)
+                spec = spectrum(r, idx)
                 m = build_recurrence_matrix(r, idx)
                 assert sum(st.energy for st in spec.states) == pytest.approx(
                     0.5 * m.trace(), rel=1e-10
@@ -148,7 +148,7 @@ def test_node_count_law():
             (rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5), int(rng.integers(0, 5)), int(rng.integers(0, 2)))
         )
     for a, b, n, eps in configs:
-        spec = spectrum_general(ReducedParams(a, b, 0, 0), QesIndex(n, eps))
+        spec = spectrum(ReducedParams(a, b, 0, 0), QesIndex(n, eps))
         counts = [
             count_nodes(Eigenfunction(state=st, reduced=spec.reduced)).count
             for st in spec.states

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from sextic_qes import (
     Eigenfunction,
     QesIndex,
+    build_recurrence_matrix,
     count_nodes,
     eval_psi,
     norm_and_inner,
@@ -21,7 +22,7 @@ from sextic_qes import (
 from sextic_qes.cli import _parse_range, main
 from sextic_qes.params import potential_v2
 
-from conftest import run_python
+from conftest import mp_coefficients, run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,12 +53,6 @@ def test_table_determinism(runner):
     out1 = runner.invoke(main, TABLE1_ARGS).stdout
     out2 = runner.invoke(main, TABLE1_ARGS).stdout
     assert out1 == out2
-
-
-def test_table_force_general_same_bytes(runner):
-    result = runner.invoke(main, TABLE1_ARGS + ["--force-general"])
-    assert result.exit_code == 0
-    assert result.stdout == (GOLDEN / "table1.txt").read_text()
 
 
 def test_table_trivial_n0(runner):
@@ -290,7 +285,7 @@ def test_verify_command_accepts_couplings_it_solved(runner):
 
 def test_verify_command_n5(runner):
     result = runner.invoke(
-        main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "5", "--force-general"]
+        main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "5"]
     )
     assert result.exit_code == 0
     assert result.stdout.startswith("6/6 matched")
@@ -347,7 +342,7 @@ def test_scan_two_axes_deterministic(runner):
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # a cold start pays for numpy and click only, and no command loads scipy
+    # a cold start pays for numpy and click only, and no command loads scipy or numpy.polynomial
     code = f"""
 import sys
 import sextic_qes
@@ -361,7 +356,7 @@ main(["export", *block, "--format", "csv", "--samples", "-6:6:0.01",
       "--out", {str(tmp_path / "samples.csv")!r}], standalone_mode=False)
 main(["scan", "--scan", "lambda=0.1:1.0:0.1", "--eta", "0.03", "--N", "1"], standalone_mode=False)
 main(["verify", *block, "--grid-points", "4001"], standalone_mode=False)
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 assert not loaded, loaded
 """
     result = run_python("-c", code)
@@ -384,7 +379,7 @@ BAD_INPUTS = [
     (["scan", "--scan", "lambda=0.1:1:0", "--eta", "0.03", "--N", "1"], 2),
     (["export", *PAPER_BLOCK, "--samples", "0:1:0", "--out", "x.csv"], 2),
     (["export", *PAPER_BLOCK, "--samples", "0:1:nan", "--out", "x.csv"], 2),
-    (["table", "--lambda", "-3", "--eta", "0.001", "--N", "20"], 4),  # NonEigenvalueError
+    (["spectrum", "--lambda", "0.5", "--eta", "0.03", "--N", "30"], 4),  # node count fails
     (["constraint", "--omega2", "-100", "--eta", "0.03", "--N", "0"], 4),  # NoSolutionError
     (["spectrum", "--omega2", "0.1", *PAPER_BLOCK], 3),
     (["table", *PAPER_BLOCK, "--out", "missing-dir/x.txt"], 6),
@@ -422,6 +417,37 @@ def test_spectrum_counts_no_node_beyond_the_turning_point(runner):
     assert result.exit_code == 0
     nodes = [line.split("nodes=")[1].split()[0] for line in result.stdout.splitlines()[1:]]
     assert nodes == [str(2 * m) for m in range(10)]
+
+
+def test_spectrum_at_negative_a_obeys_the_node_law(runner):
+    # the forward recurrence printed 9, 3 and 3 nodes for m = 6, 7 and 8
+    result = runner.invoke(main, ["spectrum", "--lambda", "-1", "--eta", "0.01", "--N", "8", "--parity", "odd"])
+    assert result.exit_code == 0
+    nodes = [line.split("nodes=")[1].split()[0] for line in result.stdout.splitlines()[1:]]
+    assert nodes == [str(2 * m + 1) for m in range(9)]
+
+
+def test_spectrum_prints_the_small_top_coefficient_at_large_a2_over_b(runner):
+    # a = 13.7, a^2/b ~ 10,300: the forward recurrence printed A_10 = -3.1e-13
+    result = runner.invoke(main, ["spectrum", "--lambda", "1", "--eta", "1e-3", "--N", "10", "--format", "json"])
+    assert result.exit_code == 0
+    ground = json.loads(result.stdout)["states"][0]
+    idx = QesIndex(10, 0)
+    m = build_recurrence_matrix(reduce(solve_constraint(idx, lam=1.0, eta=1e-3)[0]), idx)
+    top = mp_coefficients(m, 2.0 * ground["energy"])[10]
+    assert top == pytest.approx(1.7827e-29, rel=1e-4, abs=0)
+    assert ground["coefficients"][10] == pytest.approx(top, rel=1e-10, abs=0)
+
+
+def test_table_at_a2_over_b_92400_matches_the_mpmath_eigenvectors(runner):
+    # the forward recurrence overflowed here and exited 4
+    result = runner.invoke(main, ["table", "--lambda", "-3", "--eta", "0.001", "--N", "20", "--format", "json"])
+    assert result.exit_code == 0
+    idx = QesIndex(20, 0)
+    m = build_recurrence_matrix(reduce(solve_constraint(idx, lam=-3.0, eta=0.001)[0]), idx)
+    for state in json.loads(result.stdout)["states"]:
+        ref = mp_coefficients(m, 2.0 * state["energy"])
+        assert np.max(np.abs(np.array(state["coefficients"]) / ref - 1.0)) <= 1e-13
 
 
 def test_export_csv_samples_need_no_node_counts(runner, tmp_path):

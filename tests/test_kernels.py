@@ -1,13 +1,16 @@
-"""The Horner kernels and the one-pass recurrence give the former bits exactly.
+"""The Horner kernel, psi'' and the coefficients against references.
 
-Hypothesis checks the kernels against numpy.polynomial directly.  Frozen
-copies of the former numpy.polynomial-based functions then pin every output
-of the evaluation and recurrence paths, NaN-aware, at large N, both parities
-and both signs of a.  Node counts equal the former Sturm counts.
+Hypothesis checks the Horner kernel against numpy.polynomial directly.
+Frozen copies of the former numpy.polynomial-based functions pin psi and the
+recurrence matrix, NaN-aware, at large N, both parities and both signs of a;
+node counts equal the former Sturm counts.  psi'' is held to Horner's
+rounding bound against mpmath, and the coefficients to an mpmath reference
+eigenvector of the same float matrix.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,25 +20,26 @@ from numpy.polynomial import polynomial as npoly
 from sextic_qes import (
     CouplingParams,
     Eigenfunction,
-    NonEigenvalueError,
     QesIndex,
     ReducedParams,
-    coefficients_from_energy,
     default_grid,
     reduce,
+    solve_constraint,
     spectrum,
 )
 from sextic_qes.params import potential_v2, support_half_width, turning_point
-from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
+from sextic_qes.qes_core import build_recurrence_matrix
 from sextic_qes.wavefunction import (
-    _derivative,
     _horner,
+    _psi_and_d2_over_weight,
     count_nodes,
     eval_psi,
     norm_and_inner,
     ode_residual,
     psi_second_derivative,
 )
+
+from conftest import mp_coefficients
 
 floats = st.floats(width=64)  # NaN and +-inf included: the kernels must match there too
 coeff_lists = st.lists(floats, min_size=1, max_size=220)
@@ -72,30 +76,6 @@ def test_horner_is_polyval(cs, x):
         assert identical(_horner(c, x), npoly.polyval(x, c))
 
 
-@given(coeff_lists, st.lists(floats, min_size=1, max_size=8), st.booleans())
-@example([1.0, 5.0, -2.0], specials, True)
-def test_horner_step2_on_parity_structured_coefficients(cs, x, negative_zero):
-    # the degrees of the other parity than the top one hold (signed) zeros
-    c = np.array(cs)
-    c[-2::-2] = -0.0 if negative_zero else 0.0
-    x = np.array(x)
-    with np.errstate(all="ignore"):
-        assert np.array_equal(_horner(c, x, 2), npoly.polyval(x, c), equal_nan=True)
-
-
-@given(coeff_lists)
-@example([math.inf])
-@example([1.0, -0.0, math.nan, math.inf])
-def test_derivative_is_polyder(cs):
-    c = np.array(cs)
-    with np.errstate(all="ignore"):
-        assert identical(_derivative(c), npoly.polyder(c))
-
-
-def test_derivative_of_a_constant_is_zero():
-    assert same(_derivative(np.array([3.0])), np.array([0.0]))
-
-
 # ---------------------------------------------------------------------------
 # frozen copies of the former functions
 
@@ -112,32 +92,6 @@ def _former_eval_psi(f, x):
     pref = x if f.state.parity else 1.0
     x2 = x * x
     return pref * poly * np.exp(-0.5 * f.reduced.a * x2 - 0.25 * f.reduced.b * x2 * x2)
-
-
-def _former_psi_second_derivative(f, x):
-    x = np.asarray(x, dtype=float)
-    a, b = f.reduced.a, f.reduced.b
-    eps, coeffs = f.state.parity, f.state.coeffs
-    y = np.zeros(2 * (len(coeffs) - 1) + eps + 1)
-    y[eps::2] = coeffs
-    yp = npoly.polyder(y)
-    ypp = npoly.polyder(yp)
-    g = np.array([0.0, a, 0.0, b])
-    q = npoly.polyadd(
-        npoly.polysub(ypp, 2.0 * npoly.polymul(g, yp)),
-        npoly.polymul(npoly.polysub(npoly.polymul(g, g), np.array([a, 0.0, 3.0 * b])), y),
-    )
-    x2 = x * x
-    return npoly.polyval(x, q) * np.exp(-0.5 * a * x2 - 0.25 * b * x2 * x2)
-
-
-def _former_ode_residual(f, energy, xs):
-    xs = np.asarray(xs, dtype=float)
-    r = f.reduced
-    w2, lam, eta = r.omega_sq(), r.lam, r.eta
-    x2 = xs * xs
-    v2 = w2 * x2 + 0.5 * lam * x2 * x2 + eta * x2 * x2 * x2 / 3.0
-    return _former_psi_second_derivative(f, xs) + (2.0 * energy - v2) * _former_eval_psi(f, xs)
 
 
 def _former_sturm_chain(coeffs):
@@ -210,35 +164,6 @@ def _former_count_nodes(f):
     return 2 * len(_former_positive_roots(f.state.coeffs)) + f.state.parity
 
 
-def _former_coefficients_from_energy(energy, r, idx):
-    n_cap, eps = idx.n_cap, idx.parity
-    rc = closure_reduced(r, idx)
-    a, b, c = rc.a, rc.b, rc.c
-    two_e = 2.0 * energy
-    coeffs = np.empty(n_cap + 1)
-    coeffs[0] = 1.0
-    if n_cap == 0:
-        res = two_e - a * (1 + 2 * eps)
-        if abs(res) > 1e-8 * max(1.0, abs(a)):
-            raise NonEigenvalueError(f"E={energy} is not an eigenvalue (residual {res:.3e})")
-        return coeffs
-    coeffs[1] = (a * (1 + 2 * eps) - two_e) / ((1 + eps) * (2 + eps))
-    for n in range(1, n_cap):
-        coeffs[n + 1] = (
-            (c + 2 * b * (2 * n - 2 + eps)) * coeffs[n - 1]
-            - (two_e - a - 2 * a * (2 * n + eps)) * coeffs[n]
-        ) / ((2 * n + 1 + eps) * (2 * n + 2 + eps))
-    res = (two_e - a - 2 * a * (2 * n_cap + eps)) * coeffs[n_cap] - (
-        c + 2 * b * (2 * n_cap - 2 + eps)
-    ) * coeffs[n_cap - 1]
-    scale = max(1.0, float(np.max(np.abs(coeffs)))) * max(
-        1.0, abs(two_e - a - 2 * a * (2 * n_cap + eps)) + abs(c + 2 * b * (2 * n_cap - 2 + eps))
-    )
-    if abs(res) > 1e-8 * scale:
-        raise NonEigenvalueError(f"E={energy} is not an eigenvalue (closure residual {res:.3e})")
-    return coeffs
-
-
 def _former_dense(r, idx):
     n_cap, eps, a, b = idx.n_cap, idx.parity, r.a, r.b
     m = np.diag([a * (4 * n + 2 * eps + 1) for n in range(n_cap + 1)])
@@ -267,8 +192,39 @@ def sampled(states):
     return states[:: max(1, len(states) // 5)] + states[-1:]
 
 
+def _mp_second_derivative_over_weight(f, xs):
+    """psi''/W = x^eps sum_k q_k t^k at xs in mpmath, from f's own floats, and
+    sum_k |q|_k t^k |x|^eps, where |q|_k sums the magnitudes of q_k's terms."""
+    a, b, eps = f.reduced.a, f.reduced.b, f.state.parity
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(0)] * 3 + [mpmath.mpf(float(v)) for v in f.state.coeffs] + [mpmath.mpf(0)] * 4
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        q, q_abs = [], []
+        for k in range(len(f.state.coeffs) + 3):
+            terms = [
+                (2 * k + 1 + eps) * (2 * k + 2 + eps) * c[k + 4],
+                -a * (4 * k + 2 * eps + 1) * c[k + 3],
+                a * a * c[k + 2],
+                -b * (4 * k + 2 * eps - 1) * c[k + 2],
+                2 * a * b * c[k + 1],
+                b * b * c[k],
+            ]
+            q.append(sum(terms))
+            q_abs.append(sum(abs(v) for v in terms))
+        values, bounds = [], []
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            lead = x**eps
+            values.append(float(lead * mpmath.polyval(q[::-1], x * x)))
+            bounds.append(float(abs(lead) * mpmath.polyval(q_abs[::-1], x * x)))
+    return np.array(values), np.array(bounds)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 50, 100])
 def test_evaluation_keeps_former_bits(n):
+    # psi keeps the former bits; psi''/W stays within (N+9) eps sum |q|_k t^k |x|^eps
+    # of its exact value, Horner's rounding bound on its expansion in powers of t;
+    # the residual is psi'' + (2E - V2) psi
     for idx, s in blocks([n]):
         cut = _former_cutoff(s.reduced)
         xs = np.linspace(-cut, cut, 301)
@@ -277,13 +233,17 @@ def test_evaluation_keeps_former_bits(n):
             with np.errstate(all="ignore"):
                 psi = eval_psi(f, xs)
                 assert same(psi, _former_eval_psi(f, xs))
-                assert same(psi_second_derivative(f, xs), _former_psi_second_derivative(f, xs))
-                assert same(
-                    ode_residual(f, state.energy, xs), _former_ode_residual(f, state.energy, xs)
-                )
                 for x in (0.0, -0.7, 1.9):
                     assert same(eval_psi(f, x), _former_eval_psi(f, x))
-                    assert same(psi_second_derivative(f, x), _former_psi_second_derivative(f, x))
+                v2 = potential_v2(s.reduced.couplings(), xs)
+                assert same(
+                    ode_residual(f, state.energy, xs),
+                    psi_second_derivative(f, xs) + (2.0 * state.energy - v2) * psi,
+                )
+            at = np.concatenate([xs[::20], [0.0, -0.7, 1.9]])
+            exact, bound = _mp_second_derivative_over_weight(f, at)
+            error = np.abs(_psi_and_d2_over_weight(f, at)[1] - exact)
+            assert np.all(error <= (n + 9) * np.finfo(float).eps * bound), (idx, state.label)
             assert same(psi * psi, _former_eval_psi(f, xs) * _former_eval_psi(f, xs))
 
 
@@ -295,26 +255,29 @@ def test_node_counts_keep_former_bits(n):
             assert count_nodes(f).count == _former_count_nodes(f)
 
 
-def outcome(fn, *args):
-    """fn(*args), or the message of the NonEigenvalueError it raises."""
-    try:
-        return fn(*args)
-    except NonEigenvalueError as e:
-        return str(e)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 50, 100])
 def test_recurrence_keeps_former_bits(n):
     for idx, s in blocks([n]):
         assert same(build_recurrence_matrix(s.reduced, idx).dense(), _former_dense(s.reduced, idx))
-        for state in s.states:
-            if n > 3:  # N <= 3 spectra come from the closed forms
-                assert same(state.coeffs, _former_coefficients_from_energy(state.energy, s.reduced, idx))
-        for state in sampled(s.states):
-            for energy in (state.energy, state.energy + 0.1):  # an eigenvalue, and not one
-                got = outcome(coefficients_from_energy, energy, s.reduced, idx)
-                expect = outcome(_former_coefficients_from_energy, energy, s.reduced, idx)
-                assert got == expect if isinstance(got, str) else same(got, expect)
+
+
+# (lambda, eta, N, eps): a^2/b from 15.6 to 92,400, a of both signs; the
+# former forward recurrence was off by up to 1e80 relative on these, and
+# exited 4 on (-3, 1e-3, 20, 0)
+REFERENCE_BLOCKS = [
+    (1.0, 1e-3, 10, 0), (0.5, 0.03, 40, 0), (0.5, 0.03, 60, 1), (0.5, 0.03, 100, 0),
+    (-1.0, 0.01, 30, 1), (-1.5, 3e-3, 40, 0), (-3.0, 1e-3, 20, 0), (0.5, 0.03, 3, 0),
+]
+
+
+@pytest.mark.parametrize("lam, eta, n, eps", REFERENCE_BLOCKS)
+def test_coefficients_match_the_mpmath_eigenvector(lam, eta, n, eps):
+    idx = QesIndex(n, eps)
+    s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+    m = build_recurrence_matrix(s.reduced, idx)
+    for state in sampled(s.states) if n >= 40 else s.states:  # 10-100 ms per state from N = 40
+        ref = mp_coefficients(m, 2.0 * state.energy)
+        assert np.max(np.abs(state.coeffs / ref - 1.0)) <= 1e-10, state.label
 
 
 @pytest.mark.parametrize("e_max", [9.2, 1e3])  # the support's width binds, then the potential's

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -15,7 +16,7 @@ from sextic_qes import (
     reduce,
     solve_constraint,
 )
-from sextic_qes.params import check_constraint
+from sextic_qes.params import _cubic_real_roots, check_constraint, turning_point
 
 
 def test_reduce_paper_values():
@@ -214,3 +215,28 @@ def test_constraint_check_keeps_its_bound_where_gamma_rounds_finely():
         else:
             with pytest.raises(ConstraintViolationError):
                 check_constraint(r, idx)
+
+
+def test_one_real_root_branch_keeps_every_digit(rng):
+    # the Cardano branch of the turning point's cubic against mpmath on the same
+    # float coefficients: -q/2 +- h must not cancel.  The three-root branch is
+    # left out: there, and in this one, adding the shift -b2/3 cancels where the
+    # root is much smaller than it (small E, large lam/eta).
+    samples = [(7.69, -1.24, 1.84e5, 1e6 + 25)]  # -q/2 - h cancelled to 0.0: 6.8e-7 off
+    samples += zip(rng.uniform(-30, 30, 100), rng.uniform(-3, 3, 100), 10.0 ** rng.uniform(-6, 6, 100),
+                   rng.uniform(0, 1e6, 100))
+    checked = 0
+    for omega_sq, lam, eta, energy in samples:
+        b = (1.5 * lam / eta, 3.0 * omega_sq / eta, -3.0 * (2.0 * energy) / eta)  # as turning_point
+        roots = _cubic_real_roots(*b)
+        if len(roots) == 1:
+            with mpmath.workdps(30):
+                ref = max(r.real for r in mpmath.polyroots([1, *b], extraprec=100) if abs(r.imag) < 1e-20 * abs(r))
+                assert float(abs(roots[0] - ref) / abs(ref)) <= 8 * np.finfo(float).eps, (omega_sq, lam, eta, energy)
+            checked += 1
+    assert checked > 75
+
+
+def test_turning_point_where_cardano_cancelled():
+    t = turning_point(CouplingParams(7.69, -1.24, 1.84e5), 1e6 + 25)
+    assert abs(t - 3.19482279640092603) <= math.ulp(3.19482279640092603)  # the 60-digit root

@@ -12,10 +12,10 @@ from sextic_qes import (
     coefficients_from_energy,
     solve_cubic_trig,
     solve_quartic_real,
+    spectrum,
     spectrum_closed_form,
-    spectrum_general,
 )
-from sextic_qes.qes_core import closure_reduced
+from sextic_qes.qes_core import _twisted_ratios, closure_reduced, eigenvalues
 
 from conftest import random_ab
 
@@ -61,7 +61,7 @@ def test_matrix_signs_and_symmetrizability(rng):
 
 
 def test_n1_degenerate_symmetric_case():
-    s = spectrum_general(reduced(0.0, 1.0), QesIndex(1, 0))
+    s = spectrum(reduced(0.0, 1.0), QesIndex(1, 0))
     assert [st.energy for st in s.states] == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
 
@@ -70,14 +70,14 @@ def test_n1_degenerate_symmetric_case():
 
 
 def test_spectrum_general_table1_energies():
-    s = spectrum_general(reduced(1.25, 0.1), QesIndex(3, 0))
+    s = spectrum(reduced(1.25, 0.1), QesIndex(3, 0))
     assert [st.energy for st in s.states] == pytest.approx(
         [0.360920, 2.512128, 5.524957, 9.101994], abs=1e-6
     )
 
 
 def test_spectrum_general_table2_energies():
-    s = spectrum_general(reduced(1.25, 0.1), QesIndex(3, 1))
+    s = spectrum(reduced(1.25, 0.1), QesIndex(3, 1))
     assert [st.energy for st in s.states] == pytest.approx(
         [1.144540, 3.708044, 6.947903, 10.699513], abs=1e-6
     )
@@ -88,7 +88,7 @@ def test_trace_rule(rng):
         for n in range(7):
             for eps in (0, 1):
                 idx = QesIndex(n, eps)
-                s = spectrum_general(reduced(a, b), idx)
+                s = spectrum(reduced(a, b), idx)
                 m = build_recurrence_matrix(reduced(a, b), idx)
                 assert sum(st.energy for st in s.states) == pytest.approx(
                     0.5 * m.trace(), rel=1e-10, abs=1e-10
@@ -99,7 +99,7 @@ def test_energy_coefficient_consistency(rng):
     for a, b in random_ab(rng, 10):
         for n in range(1, 6):
             for eps in (0, 1):
-                s = spectrum_general(reduced(a, b), QesIndex(n, eps))
+                s = spectrum(reduced(a, b), QesIndex(n, eps))
                 for st in s.states:
                     e = 0.5 * a * (1 + 2 * eps) - 0.5 * (1 + eps) * (2 + eps) * st.coeffs[1]
                     assert st.energy == pytest.approx(e, rel=1e-10, abs=1e-10)
@@ -108,7 +108,7 @@ def test_energy_coefficient_consistency(rng):
 def test_states_count_and_normalization(rng):
     for a, b in random_ab(rng, 5):
         for n in range(5):
-            s = spectrum_general(reduced(a, b), QesIndex(n, 0))
+            s = spectrum(reduced(a, b), QesIndex(n, 0))
             assert len(s.states) == n + 1
             for st in s.states:
                 assert st.coeffs[0] == 1.0
@@ -136,6 +136,48 @@ def test_coefficients_n0():
 def test_coefficients_rejects_non_eigenvalue():
     with pytest.raises(NonEigenvalueError):
         coefficients_from_energy(1.0, reduced(1.25, 0.1), QesIndex(3, 0))
+
+
+def test_coefficients_at_an_eigenvalue_are_the_spectrum_coefficients(rng):
+    # spectrum also steers its vector by a Rayleigh step; below N = 7 that moves
+    # A by less than 1e-12 of its largest entry
+    for a, b in np.vstack([random_ab(rng, 6), random_ab(rng, 6) * [-1, 1]]):
+        for n in range(7):
+            for eps in (0, 1):
+                idx = QesIndex(n, eps)
+                for st in spectrum(reduced(a, b), idx).states:
+                    c = coefficients_from_energy(st.energy, reduced(a, b), idx)
+                    assert np.max(np.abs(c - st.coeffs)) <= 1e-12 * np.max(np.abs(st.coeffs))
+
+
+@pytest.mark.parametrize("a, b", [(1.25, 0.1), (-1.5, 0.35)])
+def test_coefficients_reject_an_energy_off_by_1e_minus_6(a, b):
+    for n in (0, 1, 2, 3, 7, 12):
+        for eps in (0, 1):
+            idx = QesIndex(n, eps)
+            for st in spectrum(reduced(a, b), idx).states:
+                with pytest.raises(NonEigenvalueError):
+                    coefficients_from_energy(st.energy * (1 + 1e-6), reduced(a, b), idx)
+
+
+def test_twisted_pivot_bounds_the_distance_to_the_spectrum(rng):
+    # 1/|gamma_k| = |[(T - theta)^-1]_kk| <= 1/dist(theta, spectrum of T)
+    for a, b in np.vstack([random_ab(rng, 5), random_ab(rng, 5) * [-1, 1]]):
+        for n in (0, 1, 4, 12, 30):
+            m = build_recurrence_matrix(reduced(a, b), QesIndex(n, int(rng.integers(0, 2))))
+            levels = eigenvalues(m)
+            theta = rng.uniform(levels[0] - 1.0, levels[-1] + 1.0, 50)
+            gamma = _twisted_ratios(m, theta, np.max(np.abs(levels)))[2]  # ||T|| = max |level|
+            dist = np.min(np.abs(theta[:, None] - levels), axis=1)
+            assert np.all(np.abs(gamma) >= dist * (1 - 1e-9))
+
+
+def test_coefficients_through_a_zero_pivot():
+    # a = 0 zeroes the diagonal, so theta = 0 makes D+_0 and D-_2 exactly 0:
+    # A_1 = 0 and A_2 = -l_0/u_1 = -2b/3
+    b = 0.49
+    c = coefficients_from_energy(0.0, reduced(0.0, b), QesIndex(2, 0))
+    assert c == pytest.approx([1.0, 0.0, -2.0 * b / 3.0], rel=1e-15, abs=1e-15)
 
 
 def test_coefficients_match_rational_backsubstitution(rng):
@@ -223,7 +265,7 @@ def test_closed_form_matches_general(rng):
             for eps in (0, 1):
                 idx = QesIndex(n, eps)
                 cf = spectrum_closed_form(reduced(a, b), idx)
-                gen = spectrum_general(reduced(a, b), idx)
+                gen = spectrum(reduced(a, b), idx)
                 for s1, s2 in zip(cf.states, gen.states):
                     assert s1.energy == pytest.approx(s2.energy, rel=1e-10, abs=1e-10)
                     assert s1.coeffs == pytest.approx(s2.coeffs, rel=1e-9, abs=1e-10)
@@ -238,7 +280,7 @@ def test_closed_form_negative_a(rng):
             for eps in (0, 1):
                 idx = QesIndex(n, eps)
                 cf = spectrum_closed_form(reduced(a, b), idx)
-                gen = spectrum_general(reduced(a, b), idx)
+                gen = spectrum(reduced(a, b), idx)
                 for s1, s2 in zip(cf.states, gen.states):
                     assert s1.energy == pytest.approx(s2.energy, rel=1e-9, abs=1e-9)
 
