@@ -116,7 +116,7 @@ def _state_records(spec: qes_core.QesSpectrum, with_nodes: bool = True) -> list[
         if with_nodes:
             f = wavefunction.Eigenfunction(state=st, reduced=spec.reduced)
             rec["nodes"] = wavefunction.count_nodes(f).count
-            rec["norm"] = float(np.sqrt(wavefunction.norm_and_inner(f, f)))
+            rec["norm"] = float(np.sqrt(wavefunction._finite_norm_sq(f)))  # SolverError if not finite
         records.append(rec)
     return records
 

@@ -197,7 +197,7 @@ def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
     shift = -b2 / 3.0
     disc = -4.0 * p**3 - 27.0 * q**2
     if disc > 0:
-        return [u + shift for u in solve_cubic_trig(p, q)]
+        return [u + shift for u in solve_cubic_trig(p, q).tolist()]
     # one real root (Cardano): u^3 is the one of -q/2 +- h that does not cancel, and u v = -p/3
     h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
     w = -q / 2.0 + math.copysign(h, -q / 2.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,6 +107,8 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # node counting by sign changes of the polynomial in t = x^2
 
+_EPS = np.finfo(float).eps
+
 
 def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
     """(x_t, k_max): the outer turning point, where 2E = V2, and sqrt(2E - min V2) on [0, x_t].
@@ -120,6 +123,15 @@ def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
     return math.sqrt(t_turn), math.sqrt(max(0.0, 2.0 * energy - v_min))
 
 
+def _samples(stop: float, num: int) -> np.ndarray:
+    """np.linspace(0.0, stop, num) bit for bit, for stop = 0 or stop / (num - 1) > 0,
+    without linspace's overhead: the same products k * step, and the last node stop."""
+    xs = np.arange(num) * (stop / max(num - 1, 1))
+    if num > 1:
+        xs[-1] = stop
+    return xs
+
+
 def _positive_roots(f: Eigenfunction) -> int:
     """The number of roots t = x^2 of p(t) = sum A_n t^n inside the turning point.
 
@@ -132,11 +144,17 @@ def _positive_roots(f: Eigenfunction) -> int:
     """
     coeffs = f.state.coeffs
     x_t, k_max = _allowed_region(f)
-    xs = np.linspace(0.0, x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
+    xs = _samples(x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
     t = xs * xs
     p = _horner(coeffs, t)
-    unknown = np.abs(p) <= len(coeffs) * np.finfo(float).eps * _horner(np.abs(coeffs), t)
-    noise = np.flatnonzero(unknown[1:] & unknown[:-1])
+    abs_p, abs_c, tol = np.abs(p), np.abs(coeffs), len(coeffs) * _EPS
+    # with |A_n| >= 0 and t >= 0 each rounded Horner step is monotone in t, so
+    # the bound at the last (largest) t bounds every other sample's bound
+    unknown = abs_p <= tol * _horner(abs_c, t[-1])
+    (near,) = unknown.nonzero()
+    if near.size:
+        unknown[near] = abs_p[near] <= tol * _horner(abs_c, t[near])
+    (noise,) = (unknown[1:] & unknown[:-1]).nonzero()
     if noise.size:
         raise SolverError(
             f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
@@ -161,6 +179,22 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
 _QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
+@lru_cache(maxsize=8)
+def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(xs, h, W(xs)): the trapezoid nodes on [0, L], their spacing and the weight on them.
+
+    L is the support at this degree (see norm_and_inner).  A block's states share
+    (a, b, 2N + eps), so a block builds them once; the arrays are read-only, as
+    every caller shares them.
+    """
+    r = ReducedParams(a=a, b=b, c=0.0, gamma=0.0)  # c and gamma play no part here
+    half = support_half_width(r, degree)
+    xs = np.linspace(0.0, half, _QUAD_NODES)
+    w = _weight(r, xs)
+    xs.flags.writeable = w.flags.writeable = False
+    return xs, half / (_QUAD_NODES - 1), w  # linspace's own spacing
+
+
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     """L2 inner product of f and g over the real line (norm^2 when f is g).
 
@@ -178,20 +212,31 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
     degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))  # 2N + eps
-    half = support_half_width(rf, degree)
-    xs = np.linspace(0.0, half, _QUAD_NODES)
-    h = half / (_QUAD_NODES - 1)  # linspace's own spacing
-    psi = eval_psi(f, xs)
+    xs, h, w = _quadrature(rf.a, rf.b, degree)
+    psi = _psi_over_weight(f, xs) * w  # eval_psi's bits
     y = psi * psi if g is f else psi * eval_psi(g, xs)
-    return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+    return float(2.0 * h * (y.sum() - 0.5 * (y[0] + y[-1])))
+
+
+def _finite_norm_sq(f: Eigenfunction) -> float:
+    """<f, f>, or SolverError where it is not finite: psi^2 overflows a double near
+    the wells of a < 0 once a^2/b exceeds ~1,418, where norm_and_inner returns inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the error below says it instead
+        n2 = norm_and_inner(f, f)
+    if not math.isfinite(n2):
+        r = f.reduced
+        raise SolverError(
+            f"the norm of state m={f.state.label} is not finite: psi^2 overflows a double "
+            f"(a^2/b = {r.a * r.a / r.b:.6g})"
+        )
+    return n2
 
 
 def normalized(f: Eigenfunction) -> Eigenfunction:
     """Copy of f with norm_constant set so that it has unit norm.
 
     The constant multiplies psi in every evaluation; an f that already carries
-    one is rescaled from it.
+    one is rescaled from it.  Raises SolverError where the norm is not finite.
     """
     scale = 1.0 if f.norm_constant is None else f.norm_constant
-    n2 = norm_and_inner(f, f)
-    return Eigenfunction(state=f.state, reduced=f.reduced, norm_constant=scale / math.sqrt(n2))
+    return Eigenfunction(state=f.state, reduced=f.reduced, norm_constant=scale / math.sqrt(_finite_norm_sq(f)))

@@ -410,6 +410,26 @@ def test_node_count_failure_exits_4(tmp_path, command):
     assert result.stdout == ""
 
 
+# a = -7.9 and -9.5: psi^2 overflows a double (a^2/b = 1976 and 2846), and the norm with it
+NON_FINITE_NORM = [
+    ["spectrum", "--lambda", "-1", "--eta", "0.003", "--N", "0", "--format", "json"],
+    ["spectrum", "--lambda", "-1.2", "--eta", "0.003", "--N", "1"],
+    ["export", "--lambda", "-1.2", "--eta", "0.003", "--N", "1", "--format", "json", "--out", "x.json"],
+]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach the user
+@pytest.mark.parametrize("args", NON_FINITE_NORM)
+def test_non_finite_norm_exits_4(runner, tmp_path, monkeypatch, args):
+    # exit 0 printed "norm": NaN, which is not JSON, or norm=nan
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert re.fullmatch(r"error: the norm of state m=0 is not finite: .*\(a\^2/b = (1976\.42|2846\.05)\)\n", result.stderr)
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_spectrum_counts_no_node_beyond_the_turning_point(runner):
     # Sturm sequences counted a sign change of the float polynomial at
     # x = 14.6, where psi = -1e-261, and printed nodes=2 for the ground state

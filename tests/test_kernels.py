@@ -3,9 +3,11 @@
 Hypothesis checks the Horner kernel against numpy.polynomial directly.
 Frozen copies of the former numpy.polynomial-based functions pin psi and the
 recurrence matrix, NaN-aware, at large N, both parities and both signs of a;
-node counts equal the former Sturm counts.  psi'' is held to Horner's
-rounding bound against mpmath, and the coefficients to an mpmath reference
-eigenvector of the same float matrix.
+node counts equal the former Sturm counts.  Frozen copies of the per-state
+norm and node count, from before a block shared its quadrature and its
+sampling shortcuts, pin their bits and their error text.  psi'' is held to
+Horner's rounding bound against mpmath, and the coefficients to an mpmath
+reference eigenvector of the same float matrix.
 """
 
 import math
@@ -27,11 +29,19 @@ from sextic_qes import (
     solve_constraint,
     spectrum,
 )
-from sextic_qes.params import potential_v2, support_half_width, turning_point
+from sextic_qes.errors import SolverError
+from sextic_qes.params import (
+    potential_v2,
+    solve_cubic_trig,
+    support_half_width,
+    turning_point,
+    well_bottom,
+)
 from sextic_qes.qes_core import build_recurrence_matrix
 from sextic_qes.wavefunction import (
     _horner,
     _psi_and_d2_over_weight,
+    _samples,
     count_nodes,
     eval_psi,
     norm_and_inner,
@@ -303,3 +313,119 @@ def test_self_norm_keeps_former_bits():
     f = Eigenfunction(state=s.states[1], reduced=s.reduced)
     g = Eigenfunction(state=s.states[1], reduced=s.reduced)  # equal, but not f itself
     assert norm_and_inner(f, f) == norm_and_inner(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the per-state norm and node count against their former, per-state copies
+
+
+def _former_norm_and_inner(f, g):
+    """norm_and_inner as it was before the quadrature was shared: its own grid and weight per call."""
+    if (f.state.parity + g.state.parity) % 2 == 1:
+        return 0.0
+    degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))
+    half = support_half_width(f.reduced, degree)
+    xs = np.linspace(0.0, half, 2001)
+    h = half / 2000
+    psi = eval_psi(f, xs)
+    y = psi * psi if g is f else psi * eval_psi(g, xs)
+    return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+
+
+def _former_cubic_real_roots(b2, b1, b0):
+    p = b1 - b2**2 / 3.0
+    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+    shift = -b2 / 3.0
+    if -4.0 * p**3 - 27.0 * q**2 > 0:
+        return [u + shift for u in solve_cubic_trig(p, q)]  # numpy scalars
+    h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
+    w = -q / 2.0 + math.copysign(h, -q / 2.0)
+    u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+    return [u - p / (3.0 * u) + shift if u else shift]
+
+
+def _former_node_count(f):
+    """count_nodes as it was: linspace samples and Horner's bound at every sample."""
+    p, energy, coeffs = f.reduced.couplings(), f.state.energy, f.state.coeffs
+    b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
+    t_turn = max(0.0, *_former_cubic_real_roots(b2, b1, b0))
+    t_min = min(well_bottom(p), t_turn)
+    v_min = min(0.0, potential_v2(p, math.sqrt(t_min)))
+    x_t, k_max = math.sqrt(t_turn), math.sqrt(max(0.0, 2.0 * energy - v_min))
+    xs = np.linspace(0.0, x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
+    t = xs * xs
+    poly = _horner(coeffs, t)
+    unknown = np.abs(poly) <= len(coeffs) * np.finfo(float).eps * _horner(np.abs(coeffs), t)
+    noise = np.flatnonzero(unknown[1:] & unknown[:-1])
+    if noise.size:
+        raise SolverError(
+            f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
+            f"inside the turning point {x_t!r}"
+        )
+    neg = np.signbit(poly[~unknown])
+    return 2 * int(np.count_nonzero(neg[1:] != neg[:-1])) + f.state.parity
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SolverError as exc:
+        return f"SolverError: {exc}"
+
+
+def seeded_blocks():
+    """Blocks on the constraint (omega2 solved): three seeded couplings per (N <= 12, eps)
+    in the box lam in [-1, 1.5], log10 eta in [-2.5, 0]; (0.5, 0.03) and (-1, 0.01) at
+    N = 20 and 40; and the deep wells of lam = -0.921875, where count_nodes raises."""
+    rng = np.random.default_rng(18)
+    cells = [(n, eps, lam, 10.0**log_eta)
+             for n in range(13) for eps in (0, 1)
+             for lam, log_eta in zip(rng.uniform(-1.0, 1.5, 3), rng.uniform(-2.5, 0.0, 3))]
+    cells += [(n, eps, lam, eta) for n in (20, 40) for eps in (0, 1) for lam, eta in ((0.5, 0.03), (-1.0, 0.01))]
+    cells += [(11, 0, -0.921875, 3.7855e-3), (11, 1, -0.921875, 3.7855e-3), (12, 0, -0.921875, 5.4247e-3)]
+    for n, eps, lam, eta in cells:
+        idx = QesIndex(n, eps)
+        yield spectrum(reduce(solve_constraint(idx, lam=float(lam), eta=float(eta))[0]), idx)
+
+
+def test_node_counts_and_norms_keep_their_per_state_bits():
+    raised = 0
+    for s in seeded_blocks():
+        for st in s.states:
+            f = Eigenfunction(state=st, reduced=s.reduced)
+            g = Eigenfunction(state=st, reduced=s.reduced)  # equal, but not f itself
+            count = _outcome(lambda: count_nodes(f).count)
+            assert count == _outcome(_former_node_count, f), (s.index, st.label)
+            raised += isinstance(count, str)
+            with np.errstate(all="ignore"):
+                assert same(norm_and_inner(f, f), _former_norm_and_inner(f, f))
+                assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
+    assert raised >= 6  # top states of the deep wells, of N = 20 at a < 0 and of N = 40
+
+
+def test_inner_products_of_different_degree_keep_their_bits():
+    # the support is the larger degree's: the first call's grid must not be reused for it
+    for lam, eta in ((0.5, 0.03), (-0.6, 0.05)):
+        for eps in (0, 1):
+            specs = [spectrum(reduce(solve_constraint(QesIndex(n, eps), lam=lam, eta=eta)[0]), QesIndex(n, eps))
+                     for n in (3, 5, 8)]
+            fs = [Eigenfunction(state=st, reduced=s.reduced) for s in specs for st in s.states]
+            for f in fs[::2]:
+                for g in fs[1::3]:
+                    assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
+
+
+@pytest.mark.parametrize("stop", [0.0, 1.0, math.pi, 12.680533, 7.3e5, 1e-300])
+def test_samples_are_linspace(stop):
+    for num in range(1, 2002):
+        assert identical(_samples(stop, num), np.linspace(0.0, stop, num)), num
+
+
+def test_turning_points_are_python_floats():
+    # the closed-form roots no longer come back as numpy scalars; their values are the former ones
+    for lam, eta, energy in ((0.5, 0.03, 4.2), (-1.0, 0.01, -3.0), (-1.0, 0.01, 30.0), (2.0, 1e-3, 0.5)):
+        p = CouplingParams(omega_sq=-0.4, lam=lam, eta=eta)
+        b2, b1, b0 = 1.5 * lam / eta, 3.0 * p.omega_sq / eta, -6.0 * energy / eta
+        t = turning_point(p, energy)
+        assert type(t) is float
+        assert t == max(0.0, *_former_cubic_real_roots(b2, b1, b0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sextic_qes import (
 )
 from sextic_qes.qes_core import QesState, closure_reduced
 from sextic_qes.params import support_half_width
-from sextic_qes.wavefunction import _weight, psi_second_derivative
+from sextic_qes.wavefunction import _quadrature, _weight, psi_second_derivative
 
 from conftest import random_ab, run_python
 
@@ -388,3 +389,51 @@ except SolverError as exc:
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("node count failed: rounding hides the sign of psi")
+
+
+# ---------------------------------------------------------------------------
+# the quadrature a block's states share
+
+
+def test_shared_quadrature_is_read_only_and_bounded():
+    xs, h, w = _quadrature(1.25, 0.1, 6)
+    assert h == xs[-1] / (len(xs) - 1)
+    for arr in (xs, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert xs[0] == 0.0 and w[0] == 1.0
+    maxsize = _quadrature.cache_info().maxsize
+    assert isinstance(maxsize, int) and 1 <= maxsize <= 16
+
+
+def test_norms_do_not_depend_on_the_order_of_calls():
+    blocks = []
+    for lam, eta, n, eps in ((0.5, 0.03, 6, 0), (-0.8, 0.01, 9, 1)):
+        idx = QesIndex(n, eps)
+        s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+        blocks.append([Eigenfunction(state=st, reduced=s.reduced) for st in s.states])
+    _quadrature.cache_clear()
+    in_order = [[norm_and_inner(f, f) for f in fs] for fs in blocks]
+    _quadrature.cache_clear()
+    backwards = [[norm_and_inner(f, f) for f in fs[::-1]][::-1] for fs in blocks]
+    _quadrature.cache_clear()
+    interleaved = [[], []]
+    for f, g in zip(*blocks):  # the first block has the fewer states
+        interleaved[0].append(norm_and_inner(f, f))
+        interleaved[1].append(norm_and_inner(g, g))
+    interleaved[1] += [norm_and_inner(g, g) for g in blocks[1][len(blocks[0]):]]
+    for got in (backwards, interleaved):
+        assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in in_order]
+
+
+def test_normalized_raises_where_the_norm_overflows():
+    # lambda = -1, eta = 0.003: a = -7.9, a^2/b = 1976, and psi^2 peaks near exp(a^2/(2b)) = e^988
+    idx = QesIndex(0, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=-1.0, eta=0.003)[0]), idx)
+    f = Eigenfunction(state=s.states[0], reduced=s.reduced)
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(norm_and_inner(f, f))  # kept: the raw value, as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(SolverError, match=r"norm of state m=0 is not finite.*a\^2/b = 1976\.42"):
+            normalized(f)
