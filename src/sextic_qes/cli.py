@@ -22,7 +22,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import params as params_mod
 from . import qes_core, wavefunction
-from .errors import ConstraintViolationError, InvalidCouplingError, QesError, VerificationError
+from .errors import ConstraintViolationError, InvalidCouplingError, QesError, SolverError, VerificationError
 from .params import CouplingParams, QesIndex
 
 # Exit code of each documented failure; the first class that matches wins.
@@ -152,6 +152,23 @@ def _states_csv(records: list[dict], n_cap: int) -> str:
     )
 
 
+def _psi_samples(spec: qes_core.QesSpectrum, xs: np.ndarray) -> list[list[float]]:
+    """psi of each state at xs, or SolverError naming the first state and x where it is
+    not finite: psi overflows a double near the wells once a^2/b is large, or at huge |x|."""
+    r, rows = spec.reduced, []
+    for st in spec.states:
+        with np.errstate(over="ignore", invalid="ignore"):  # the error below says it instead
+            psi = wavefunction.eval_psi(wavefunction.Eigenfunction(state=st, reduced=r), xs)
+        (bad,) = (~np.isfinite(psi)).nonzero()
+        if bad.size:
+            raise SolverError(
+                f"the sample of state m={st.label} at x = {float(xs[bad[0]])!r} is not finite: "
+                f"psi overflows a double (a^2/b = {r.a * r.a / r.b:.6g})"
+            )
+        rows.append(psi.tolist())
+    return rows
+
+
 def _parse_range(text: str, error: str) -> np.ndarray:
     """The points MIN + k*STEP, k = 0 .. round((MAX - MIN)/STEP), of MIN:MAX:STEP.
 
@@ -278,10 +295,7 @@ def cmd_export(omega2, lam, eta, n_cap, parity, fmt, samples, out):
         _write_output(_json(p, spec, records) if fmt == "json" else _states_csv(records, n_cap), out)
         return
     xs = _parse_range(samples, f"bad sample spec {samples!r}, expected MIN:MAX:STEP")
-    psi = [
-        wavefunction.eval_psi(wavefunction.Eigenfunction(state=st, reduced=spec.reduced), xs).tolist()
-        for st in spec.states
-    ]
+    psi = _psi_samples(spec, xs)
     if fmt == "json":
         text = _json(p, spec, records, samples={"x": xs.tolist(), "psi": psi})
     else:

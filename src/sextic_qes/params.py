@@ -184,10 +184,15 @@ def solve_cubic_trig(p: float, q: float) -> np.ndarray:
     disc = -4.0 * p**3 - 27.0 * q**2
     if disc <= 0:
         raise SolverError(f"cubic discriminant must be positive, got {disc:.3e}")
+    return np.array(_sine_roots(p, q))
+
+
+def _sine_roots(p: float, q: float) -> list[float]:
+    """solve_cubic_trig's three roots as Python floats; the discriminant must be positive."""
     big_p = math.sqrt(-4.0 * p / 3.0)
     big_q = -3.0 * q / (p * big_p)  # = sign(q) * sqrt(-27 q^2 / (4 p^3))
     theta = math.asin(big_q) / 3.0
-    return np.array([big_p * math.sin(theta + 2.0 * math.pi * k / 3.0) for k in range(3)])
+    return [big_p * math.sin(theta + 2.0 * math.pi * k / 3.0) for k in range(3)]
 
 
 def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
@@ -197,7 +202,7 @@ def _cubic_real_roots(b2: float, b1: float, b0: float) -> list[float]:
     shift = -b2 / 3.0
     disc = -4.0 * p**3 - 27.0 * q**2
     if disc > 0:
-        return [u + shift for u in solve_cubic_trig(p, q).tolist()]
+        return [u + shift for u in _sine_roots(p, q)]
     # one real root (Cardano): u^3 is the one of -q/2 +- h that does not cancel, and u v = -p/3
     h = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
     w = -q / 2.0 + math.copysign(h, -q / 2.0)

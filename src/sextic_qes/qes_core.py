@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,13 +81,15 @@ def energy_from_a1(a1: float, a: float, eps: int) -> float:
 
 
 def build_recurrence_matrix(r: ReducedParams, idx: QesIndex) -> RecurrenceMatrix:
-    """Assemble M; the closure value of c is imposed regardless of r.c."""
+    """Assemble M; the closure value of c is imposed regardless of r.c.
+
+    The integer factors are formed in floats, exactly, as they stay far below 2^53.
+    """
     n_cap, eps = idx.n_cap, idx.parity
-    a, b = r.a, r.b
-    n = np.arange(n_cap + 1)
-    diag = a * (4 * n + 2 * eps + 1)
-    sup = -((2 * n[:-1] + 1 + eps) * (2 * n[:-1] + 2 + eps)).astype(float)
-    sub = -4.0 * b * (n_cap - n[1:] + 1)
+    k = np.arange(1.0 + eps, 2.0 * n_cap + eps, 2.0)  # 2n + 1 + eps
+    diag = r.a * np.arange(1.0 + 2 * eps, 4.0 * n_cap + 2 * eps + 2, 4.0)
+    sup = -(k * (k + 1.0))
+    sub = (-4.0 * r.b) * np.arange(float(n_cap), 0.0, -1.0)
     return RecurrenceMatrix(dim=n_cap + 1, diag=diag, superdiag=sup, subdiag=sub)
 
 
@@ -99,40 +102,57 @@ def eigenvalues(m: RecurrenceMatrix) -> np.ndarray:
     """
     if m.dim == 1:
         return m.diag.copy()
-    t = np.diag(m.diag)
-    i = np.arange(m.dim - 1)
-    t[i + 1, i] = -np.sqrt(m.superdiag * m.subdiag)  # eigvalsh reads the lower triangle
+    t = np.zeros((m.dim, m.dim))
+    flat = t.ravel()  # eigvalsh reads the diagonal and the lower triangle
+    flat[:: m.dim + 1], flat[m.dim :: m.dim + 1] = m.diag, -np.sqrt(m.superdiag * m.subdiag)
     return np.linalg.eigvalsh(t)
 
 
-def _twisted_ratios(m: RecurrenceMatrix, theta: np.ndarray, norm: float):
+class _Twist(NamedTuple):
+    """What every twisted pass over one M shares.  The bottom-up pass is the
+    top-down one on the reversed matrix, so each array holds both orders."""
+
+    diag: np.ndarray   # (N+1, 2, 1): d_n, then d_{N-n}
+    prods: np.ndarray  # (N, 2): u_n l_n, then u_{N-1-n} l_{N-1-n}
+    upper: np.ndarray  # (N, 1): u_n
+    lower: np.ndarray  # (N, 1): l_n
+    rows: np.ndarray   # (N, 1): n
+
+
+def _twist(m: RecurrenceMatrix) -> _Twist:
+    diag, prods = np.empty((m.dim, 2, 1)), np.empty((m.dim - 1, 2))
+    diag[:, 0, 0], diag[:, 1, 0] = m.diag, m.diag[::-1]
+    np.multiply(m.superdiag, m.subdiag, out=prods[:, 0])
+    prods[:, 1] = prods[::-1, 0]
+    return _Twist(diag, prods, m.superdiag[:, None], m.subdiag[:, None], np.arange(m.dim - 1)[:, None])
+
+
+def _twisted_ratios(tw: _Twist, theta: np.ndarray, norm: float):
     """Ratios A_{n+1}/A_n of the null vector of M - theta, each from its stable end.
 
     Column j belongs to theta[j].  With d, u, l the diagonal, super- and subdiagonal
     of M, q+_n = u_{n-1} l_{n-1} / D+_{n-1} and q-_n = u_n l_n / D-_{n+1} give the
-    top-down and bottom-up pivots D+-_n = d_n - theta - q+-_n (one loop: bottom-up
-    is top-down on the reversed matrix).  The twist k minimises |gamma_k| = |D+_k +
-    D-_k - (d_k - theta)|; the ratio is -D+_n/u_n below k and -l_n/D-_{n+1} from k
-    on (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997).  A pivot that rounds to 0
-    moves its theta by eps ||T||, within theta's rounding.  Returns (ratios (N, K),
-    k (K,), gamma_k (K,)).
+    top-down and bottom-up pivots D+-_n = d_n - theta - q+-_n (one loop over rows:
+    the first K columns run top-down, the last K bottom-up on the reversed matrix).
+    The twist k minimises |gamma_k| = |D+_k + D-_k - (d_k - theta)|; the ratio is
+    -D+_n/u_n below k and -l_n/D-_{n+1} from k on (Fernando, SIAM J. Matrix Anal.
+    Appl. 18, 1997).  A pivot that rounds to 0 moves its theta by eps ||T||, within
+    theta's rounding.  Returns (ratios (N, K), k (K,), gamma_k (K,)).
     """
-    u, l, cols = m.superdiag[:, None], m.subdiag[:, None], np.arange(len(theta))
-    dt = m.diag[:, None] - theta
-    dts = np.array([dt, dt[::-1]]).swapaxes(0, 1)  # (N+1, 2, K): top-down, then bottom-up
-    prods = np.array([u * l, (u * l)[::-1]]).swapaxes(0, 1)
-    q = np.zeros((m.dim, 2, len(theta)))
+    dim, cols = len(tw.diag), len(theta)
+    dts = (tw.diag - theta).reshape(dim, 2 * cols)  # d - theta, then reversed
+    pivots = dts.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p_row, d_row, q_row, q_next in zip(prods, dts, q, q[1:]):
-            np.divide(p_row, d_row - q_row, out=q_next)
-        down, up = dt - q[:, 0], dt - q[::-1, 1]  # D+ and D-
+        for p_row, piv, piv_next in zip(np.repeat(tw.prods, cols, axis=1), pivots, pivots[1:]):
+            piv_next -= p_row / piv
+        dt, down, up = dts[:, :cols], pivots[:, :cols], pivots[::-1, cols:]  # D+ and D-
         gamma = down + up - dt
     if not np.isfinite(gamma).all():
         stuck = ~np.isfinite(gamma).all(axis=0)
-        return _twisted_ratios(m, theta + stuck * (np.finfo(float).eps * norm), norm)
+        return _twisted_ratios(tw, theta + stuck * (np.finfo(float).eps * norm), norm)
     k = np.abs(gamma).argmin(axis=0)
-    ratios = np.where(np.arange(m.dim - 1)[:, None] < k, down[:-1] / u, l / up[1:])
-    return -ratios, k, gamma[k, cols]
+    ratios = np.where(tw.rows < k, down[:-1] / tw.upper, tw.lower / up[1:])
+    return -ratios, k, gamma[k, np.arange(cols)]
 
 
 def _coefficients(m: RecurrenceMatrix, theta: np.ndarray, refine: bool) -> np.ndarray:
@@ -146,9 +166,10 @@ def _coefficients(m: RecurrenceMatrix, theta: np.ndarray, refine: bool) -> np.nd
     z_k = 1 and summed in logs, steers the vector: the ratios are formed again
     where it moved theta.
     """
-    norm = float(np.max(np.abs(m.diag)) + 2.0 * np.sqrt(np.max(m.superdiag * m.subdiag, initial=0.0)))
-    ratios, k, gamma = _twisted_ratios(m, theta, norm)
-    bad = np.flatnonzero(np.abs(gamma) > _PIVOT_RTOL * max(1.0, norm))
+    tw = _twist(m)
+    norm = float(np.abs(m.diag).max()) + 2.0 * math.sqrt(tw.prods[:, 0].max(initial=0.0))
+    ratios, k, gamma = _twisted_ratios(tw, theta, norm)
+    (bad,) = (np.abs(gamma) > _PIVOT_RTOL * max(1.0, norm)).nonzero()
     if bad.size:
         j = bad[0]
         raise NonEigenvalueError(f"E={theta[j] / 2.0} is not an eigenvalue (twist pivot {gamma[j]:.3e})")
@@ -158,7 +179,7 @@ def _coefficients(m: RecurrenceMatrix, theta: np.ndarray, refine: bool) -> np.nd
         shifted = theta + gamma / np.exp(2.0 * (log_z - log_z[k, np.arange(len(theta))])).sum(axis=0)
         moved = shifted != theta
         if moved.any():
-            ratios[:, moved] = _twisted_ratios(m, shifted[moved], norm)[0]
+            ratios[:, moved] = _twisted_ratios(tw, shifted[moved], norm)[0]
     coeffs = np.ones((len(theta), m.dim))
     np.cumprod(ratios.T, axis=1, out=coeffs[:, 1:])
     return coeffs
@@ -326,5 +347,5 @@ def spectrum(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
     m = build_recurrence_matrix(rc, idx)
     theta = eigenvalues(m)
     coeffs = _coefficients(m, theta, refine=True)
-    states = [_state(float(t / 2.0), c, idx, j) for j, (t, c) in enumerate(zip(theta, coeffs))]
+    states = [_state(e, c, idx, j) for j, (e, c) in enumerate(zip((theta / 2.0).tolist(), coeffs))]
     return QesSpectrum(index=idx, reduced=rc, states=states)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError, WeightMismatchError
-from .params import ReducedParams, potential_v2, support_half_width, turning_point, well_bottom
+from .params import CouplingParams, ReducedParams, potential_v2, support_half_width, turning_point, well_bottom
 from .qes_core import QesState
 
 
@@ -56,9 +56,10 @@ def _scaled(f: Eigenfunction, y):
     return y if f.norm_constant is None else f.norm_constant * y
 
 
-def _psi_over_weight(f: Eigenfunction, x: np.ndarray):
-    """x^eps * sum A_n t^n with t = x^2, by Horner in t (times norm_constant, if set)."""
-    poly = _horner(f.state.coeffs, x * x)
+def _psi_over_weight(f: Eigenfunction, x: np.ndarray, t: np.ndarray | None = None):
+    """x^eps * sum A_n t^n with t = x^2 (formed here unless given), by Horner in t
+    (times norm_constant, if set)."""
+    poly = _horner(f.state.coeffs, x * x if t is None else t)
     return _scaled(f, x * poly if f.state.parity else poly)
 
 
@@ -110,16 +111,23 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
 _EPS = np.finfo(float).eps
 
 
+@lru_cache(maxsize=8)
+def _geometry(r: ReducedParams) -> tuple[CouplingParams, float]:
+    """(couplings, t = x^2 at the bottom of V2) of a block; its states share one
+    ReducedParams, so a block builds them once."""
+    p = r.couplings()
+    return p, well_bottom(p)
+
+
 def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
     """(x_t, k_max): the outer turning point, where 2E = V2, and sqrt(2E - min V2) on [0, x_t].
 
     Every node of a bound state lies inside x_t, and by Sturm comparison with
     y'' + k_max^2 y = 0 two nodes are at least pi/k_max apart.
     """
-    p, energy = f.reduced.couplings(), f.state.energy
+    (p, t_well), energy = _geometry(f.reduced), f.state.energy
     t_turn = turning_point(p, energy)
-    t_min = min(well_bottom(p), t_turn)
-    v_min = min(0.0, potential_v2(p, math.sqrt(t_min)))
+    v_min = min(0.0, potential_v2(p, math.sqrt(min(t_well, t_turn))))
     return math.sqrt(t_turn), math.sqrt(max(0.0, 2.0 * energy - v_min))
 
 
@@ -149,18 +157,20 @@ def _positive_roots(f: Eigenfunction) -> int:
     p = _horner(coeffs, t)
     abs_p, abs_c, tol = np.abs(p), np.abs(coeffs), len(coeffs) * _EPS
     # with |A_n| >= 0 and t >= 0 each rounded Horner step is monotone in t, so
-    # the bound at the last (largest) t bounds every other sample's bound
-    unknown = abs_p <= tol * _horner(abs_c, t[-1])
+    # the bound at the last (largest) t bounds every other sample's bound; in
+    # Python floats it takes the IEEE steps it takes on a numpy scalar
+    unknown = abs_p <= tol * _horner(abs_c.tolist(), float(t[-1]))
     (near,) = unknown.nonzero()
-    if near.size:
+    if near.size:  # else, the common case, every sample's sign is known and all of them count
         unknown[near] = abs_p[near] <= tol * _horner(abs_c, t[near])
-    (noise,) = (unknown[1:] & unknown[:-1]).nonzero()
-    if noise.size:
-        raise SolverError(
-            f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
-            f"inside the turning point {x_t!r}"
-        )
-    neg = np.signbit(p[~unknown])
+        (noise,) = (unknown[1:] & unknown[:-1]).nonzero()
+        if noise.size:
+            raise SolverError(
+                f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
+                f"inside the turning point {x_t!r}"
+            )
+        p = p[~unknown]
+    neg = np.signbit(p)
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
@@ -180,8 +190,9 @@ _QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
 @lru_cache(maxsize=8)
-def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """(xs, h, W(xs)): the trapezoid nodes on [0, L], their spacing and the weight on them.
+def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(xs, xs^2, h, W(xs)): the trapezoid nodes on [0, L], their squares, their
+    spacing and the weight on them.
 
     L is the support at this degree (see norm_and_inner).  A block's states share
     (a, b, 2N + eps), so a block builds them once; the arrays are read-only, as
@@ -189,10 +200,10 @@ def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, float, np.
     """
     r = ReducedParams(a=a, b=b, c=0.0, gamma=0.0)  # c and gamma play no part here
     half = support_half_width(r, degree)
-    xs = np.linspace(0.0, half, _QUAD_NODES)
-    w = _weight(r, xs)
-    xs.flags.writeable = w.flags.writeable = False
-    return xs, half / (_QUAD_NODES - 1), w  # linspace's own spacing
+    xs = _samples(half, _QUAD_NODES)
+    t, w = xs * xs, _weight(r, xs)
+    xs.flags.writeable = t.flags.writeable = w.flags.writeable = False
+    return xs, t, half / (_QUAD_NODES - 1), w  # the samples' own spacing
 
 
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
@@ -211,11 +222,11 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         )
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))  # 2N + eps
-    xs, h, w = _quadrature(rf.a, rf.b, degree)
-    psi = _psi_over_weight(f, xs) * w  # eval_psi's bits
+    degree = 2 * max(len(f.state.coeffs), len(g.state.coeffs)) - 2 + f.state.parity  # 2N + eps
+    xs, t, h, w = _quadrature(rf.a, rf.b, degree)
+    psi = _psi_over_weight(f, xs, t) * w  # eval_psi's bits
     y = psi * psi if g is f else psi * eval_psi(g, xs)
-    return float(2.0 * h * (y.sum() - 0.5 * (y[0] + y[-1])))
+    return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
 
 
 def _finite_norm_sq(f: Eigenfunction) -> float:

@@ -430,6 +430,29 @@ def test_non_finite_norm_exits_4(runner, tmp_path, monkeypatch, args):
     assert not (tmp_path / "x.json").exists()
 
 
+# psi itself is not finite: near the wells at a^2/b = 2846 it overflows (inf for m = 0
+# at x = 17 and 18, and for m = 1 at x = 17), and at x = 1e80 t^N overflows while the
+# weight underflows to 0; exit 0 wrote inf, or NaN, which is not JSON
+NON_FINITE_SAMPLES = [
+    (["--lambda", "-1.2", "--eta", "0.003", "--N", "1", "--format", "csv", "--samples", "16:18:1"], "17.0", "2846.05"),
+    (["--lambda", "0.5", "--eta", "0.03", "--N", "3", "--format", "csv", "--samples", "1e80:1e80:1"], "1e+80", "15.625"),
+    (["--lambda", "0.5", "--eta", "0.03", "--N", "3", "--format", "json", "--samples", "1e80:1e80:1"], "1e+80", "15.625"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach the user
+@pytest.mark.parametrize("args, x, ratio", NON_FINITE_SAMPLES)
+def test_non_finite_samples_exit_4(runner, tmp_path, monkeypatch, args, x, ratio):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["export", *args, "--out", "x.out"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: the sample of state m=0 at x = {x} is not finite: psi overflows a double (a^2/b = {ratio})\n"
+    )
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_spectrum_counts_no_node_beyond_the_turning_point(runner):
     # Sturm sequences counted a sign change of the float polynomial at
     # x = 14.6, where psi = -1e-261, and printed nodes=2 for the ground state

@@ -5,11 +5,14 @@ Frozen copies of the former numpy.polynomial-based functions pin psi and the
 recurrence matrix, NaN-aware, at large N, both parities and both signs of a;
 node counts equal the former Sturm counts.  Frozen copies of the per-state
 norm and node count, from before a block shared its quadrature and its
-sampling shortcuts, pin their bits and their error text.  psi'' is held to
+sampling shortcuts, pin their bits and their error text; frozen copies of
+spectrum and coefficients_from_energy, from before a matrix's twisted passes
+shared their arrays, pin the energies and coefficients.  psi'' is held to
 Horner's rounding bound against mpmath, and the coefficients to an mpmath
 reference eigenvector of the same float matrix.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -24,12 +27,14 @@ from sextic_qes import (
     Eigenfunction,
     QesIndex,
     ReducedParams,
+    RecurrenceMatrix,
+    coefficients_from_energy,
     default_grid,
     reduce,
     solve_constraint,
     spectrum,
 )
-from sextic_qes.errors import SolverError
+from sextic_qes.errors import NonEigenvalueError, QesError, SolverError
 from sextic_qes.params import (
     potential_v2,
     solve_cubic_trig,
@@ -37,7 +42,7 @@ from sextic_qes.params import (
     turning_point,
     well_bottom,
 )
-from sextic_qes.qes_core import build_recurrence_matrix
+from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     _horner,
     _psi_and_d2_over_weight,
@@ -369,19 +374,19 @@ def _former_node_count(f):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except SolverError as exc:
-        return f"SolverError: {exc}"
+    except QesError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def seeded_blocks():
     """Blocks on the constraint (omega2 solved): three seeded couplings per (N <= 12, eps)
     in the box lam in [-1, 1.5], log10 eta in [-2.5, 0]; (0.5, 0.03) and (-1, 0.01) at
-    N = 20 and 40; and the deep wells of lam = -0.921875, where count_nodes raises."""
+    N = 20, 40 and 100; and the deep wells of lam = -0.921875, where count_nodes raises."""
     rng = np.random.default_rng(18)
     cells = [(n, eps, lam, 10.0**log_eta)
              for n in range(13) for eps in (0, 1)
              for lam, log_eta in zip(rng.uniform(-1.0, 1.5, 3), rng.uniform(-2.5, 0.0, 3))]
-    cells += [(n, eps, lam, eta) for n in (20, 40) for eps in (0, 1) for lam, eta in ((0.5, 0.03), (-1.0, 0.01))]
+    cells += [(n, eps, lam, eta) for n in (20, 40, 100) for eps in (0, 1) for lam, eta in ((0.5, 0.03), (-1.0, 0.01))]
     cells += [(11, 0, -0.921875, 3.7855e-3), (11, 1, -0.921875, 3.7855e-3), (12, 0, -0.921875, 5.4247e-3)]
     for n, eps, lam, eta in cells:
         idx = QesIndex(n, eps)
@@ -401,6 +406,24 @@ def test_node_counts_and_norms_keep_their_per_state_bits():
                 assert same(norm_and_inner(f, f), _former_norm_and_inner(f, f))
                 assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
     assert raised >= 6  # top states of the deep wells, of N = 20 at a < 0 and of N = 40
+
+
+def test_a_lone_sample_of_unknown_sign_is_dropped():
+    # p(t) = (t - c)^2 - d with c a sample's t and d four ulps of c^2: Horner gives
+    # -d there, inside its rounding bound, and clear positive values at the other
+    # samples; dropped, that sample adds no sign change (kept, it would add two)
+    idx = QesIndex(2, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
+    st = s.states[2]
+    p = s.reduced.couplings()
+    x_t = math.sqrt(turning_point(p, st.energy))
+    k_max = math.sqrt(2.0 * st.energy)  # V2 >= 0 here
+    xs = np.linspace(0.0, x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
+    c = float(xs[len(xs) // 2]) ** 2
+    coeffs = np.array([c * c - 4.0 * math.ulp(c * c), -2.0 * c, 1.0])
+    assert _horner(coeffs, c) < 0.0
+    f = Eigenfunction(state=dataclasses.replace(st, coeffs=coeffs), reduced=s.reduced)
+    assert count_nodes(f).count == _former_node_count(f) == 0
 
 
 def test_inner_products_of_different_degree_keep_their_bits():
@@ -429,3 +452,98 @@ def test_turning_points_are_python_floats():
         t = turning_point(p, energy)
         assert type(t) is float
         assert t == max(0.0, *_former_cubic_real_roots(b2, b1, b0))
+
+
+# ---------------------------------------------------------------------------
+# the spectrum against its former copy, whose twisted passes built their own arrays
+
+
+def _former_recurrence(r, idx):
+    """build_recurrence_matrix as it was: the factors in integers."""
+    n_cap, eps = idx.n_cap, idx.parity
+    n = np.arange(n_cap + 1)
+    diag = r.a * (4 * n + 2 * eps + 1)
+    sup = -((2 * n[:-1] + 1 + eps) * (2 * n[:-1] + 2 + eps)).astype(float)
+    sub = -4.0 * r.b * (n_cap - n[1:] + 1)
+    return RecurrenceMatrix(dim=n_cap + 1, diag=diag, superdiag=sup, subdiag=sub)
+
+
+def _former_eigenvalues(m):
+    if m.dim == 1:
+        return m.diag.copy()
+    t = np.diag(m.diag)
+    i = np.arange(m.dim - 1)
+    t[i + 1, i] = -np.sqrt(m.superdiag * m.subdiag)
+    return np.linalg.eigvalsh(t)
+
+
+def _former_twisted_ratios(m, theta, norm):
+    """Both passes stacked as (N+1, 2, K), every array built again on each call."""
+    u, l, cols = m.superdiag[:, None], m.subdiag[:, None], np.arange(len(theta))
+    dt = m.diag[:, None] - theta
+    dts = np.array([dt, dt[::-1]]).swapaxes(0, 1)
+    prods = np.array([u * l, (u * l)[::-1]]).swapaxes(0, 1)
+    q = np.zeros((m.dim, 2, len(theta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p_row, d_row, q_row, q_next in zip(prods, dts, q, q[1:]):
+            np.divide(p_row, d_row - q_row, out=q_next)
+        down, up = dt - q[:, 0], dt - q[::-1, 1]
+        gamma = down + up - dt
+    if not np.isfinite(gamma).all():
+        stuck = ~np.isfinite(gamma).all(axis=0)
+        return _former_twisted_ratios(m, theta + stuck * (np.finfo(float).eps * norm), norm)
+    k = np.abs(gamma).argmin(axis=0)
+    ratios = np.where(np.arange(m.dim - 1)[:, None] < k, down[:-1] / u, l / up[1:])
+    return -ratios, k, gamma[k, cols]
+
+
+def _former_coefficients(m, theta, refine):
+    norm = float(np.max(np.abs(m.diag)) + 2.0 * np.sqrt(np.max(m.superdiag * m.subdiag, initial=0.0)))
+    ratios, k, gamma = _former_twisted_ratios(m, theta, norm)
+    bad = np.flatnonzero(np.abs(gamma) > 1e-8 * max(1.0, norm))
+    if bad.size:
+        j = bad[0]
+        raise NonEigenvalueError(f"E={theta[j] / 2.0} is not an eigenvalue (twist pivot {gamma[j]:.3e})")
+    if refine:
+        log_z = np.zeros((m.dim, len(theta)))
+        np.cumsum(np.log(np.abs(ratios) * np.sqrt(m.superdiag / m.subdiag)[:, None]), axis=0, out=log_z[1:])
+        shifted = theta + gamma / np.exp(2.0 * (log_z - log_z[k, np.arange(len(theta))])).sum(axis=0)
+        moved = shifted != theta
+        if moved.any():
+            ratios[:, moved] = _former_twisted_ratios(m, shifted[moved], norm)[0]
+    coeffs = np.ones((len(theta), m.dim))
+    np.cumprod(ratios.T, axis=1, out=coeffs[:, 1:])
+    return coeffs
+
+
+def _former_spectrum(r, idx):
+    """(energies, coefficient rows) as spectrum computed them."""
+    m = _former_recurrence(closure_reduced(r, idx), idx)
+    theta = _former_eigenvalues(m)
+    return [float(t / 2.0) for t in theta], _former_coefficients(m, theta, refine=True)
+
+
+def _former_coefficients_from_energy(energy, r, idx):
+    return _former_coefficients(_former_recurrence(r, idx), np.array([2.0 * energy]), refine=False)[0]
+
+
+def test_spectra_and_coefficients_keep_their_bits():
+    for s in seeded_blocks():
+        energies, coeffs = _former_spectrum(s.reduced, s.index)
+        assert [st.energy for st in s.states] == energies and all(type(st.energy) is float for st in s.states)
+        for st, row in zip(s.states, coeffs):
+            assert identical(st.coeffs, row), (s.index, st.label)
+            for e in (st.energy, st.energy * (1 + 1e-6)):  # an eigenvalue, and an energy that is none
+                got = _outcome(coefficients_from_energy, e, s.reduced, s.index)
+                want = _outcome(_former_coefficients_from_energy, e, s.reduced, s.index)
+                assert identical(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def test_turning_points_keep_their_bits_on_every_state():
+    for s in seeded_blocks():
+        p = s.reduced.couplings()
+        b2, b1 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta
+        for st in s.states:
+            t = turning_point(p, st.energy)
+            assert type(t) is float
+            assert t == max(0.0, *_former_cubic_real_roots(b2, b1, -3.0 * (2.0 * st.energy) / p.eta))

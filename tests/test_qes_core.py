@@ -15,7 +15,7 @@ from sextic_qes import (
     spectrum,
     spectrum_closed_form,
 )
-from sextic_qes.qes_core import _twisted_ratios, closure_reduced, eigenvalues
+from sextic_qes.qes_core import _twist, _twisted_ratios, closure_reduced, eigenvalues
 
 from conftest import random_ab
 
@@ -167,7 +167,7 @@ def test_twisted_pivot_bounds_the_distance_to_the_spectrum(rng):
             m = build_recurrence_matrix(reduced(a, b), QesIndex(n, int(rng.integers(0, 2))))
             levels = eigenvalues(m)
             theta = rng.uniform(levels[0] - 1.0, levels[-1] + 1.0, 50)
-            gamma = _twisted_ratios(m, theta, np.max(np.abs(levels)))[2]  # ||T|| = max |level|
+            gamma = _twisted_ratios(_twist(m), theta, np.max(np.abs(levels)))[2]  # ||T|| = max |level|
             dist = np.min(np.abs(theta[:, None] - levels), axis=1)
             assert np.all(np.abs(gamma) >= dist * (1 - 1e-9))
 

@@ -27,7 +27,7 @@ from sextic_qes import (
 )
 from sextic_qes.qes_core import QesState, closure_reduced
 from sextic_qes.params import support_half_width
-from sextic_qes.wavefunction import _quadrature, _weight, psi_second_derivative
+from sextic_qes.wavefunction import _geometry, _quadrature, _weight, psi_second_derivative
 
 from conftest import random_ab, run_python
 
@@ -396,7 +396,7 @@ except SolverError as exc:
 
 
 def test_shared_quadrature_is_read_only_and_bounded():
-    xs, h, w = _quadrature(1.25, 0.1, 6)
+    xs, _, h, w = _quadrature(1.25, 0.1, 6)
     assert h == xs[-1] / (len(xs) - 1)
     for arr in (xs, w):
         with pytest.raises(ValueError):
@@ -424,6 +424,56 @@ def test_norms_do_not_depend_on_the_order_of_calls():
     interleaved[1] += [norm_and_inner(g, g) for g in blocks[1][len(blocks[0]):]]
     for got in (backwards, interleaved):
         assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in in_order]
+
+
+def test_node_counts_do_not_depend_on_the_order_of_calls():
+    blocks = []
+    for lam, eta, n, eps in ((0.5, 0.03, 6, 0), (-0.8, 0.01, 9, 1)):
+        idx = QesIndex(n, eps)
+        s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+        blocks.append([Eigenfunction(state=st, reduced=s.reduced) for st in s.states])
+    _geometry.cache_clear()
+    in_order = [[count_nodes(f).count for f in fs] for fs in blocks]
+    _geometry.cache_clear()
+    backwards = [[count_nodes(f).count for f in fs[::-1]][::-1] for fs in blocks]
+    _geometry.cache_clear()
+    interleaved = [[], []]
+    for f, g in zip(*blocks):  # the first block has the fewer states
+        interleaved[0].append(count_nodes(f).count)
+        interleaved[1].append(count_nodes(g).count)
+    interleaved[1] += [count_nodes(g).count for g in blocks[1][len(blocks[0]):]]
+    law = [[2 * m + eps for m in range(len(fs))] for fs, eps in zip(blocks, (0, 1))]
+    assert backwards == interleaved == in_order == law
+
+
+def test_equal_blocks_share_their_cache_entries():
+    # two spectra of one block carry equal, but distinct, ReducedParams
+    idx = QesIndex(4, 1)
+    specs = [spectrum(reduce(solve_constraint(idx, lam=0.3, eta=0.05)[0]), idx) for _ in range(2)]
+    assert specs[0].reduced == specs[1].reduced and specs[0].reduced is not specs[1].reduced
+    _geometry.cache_clear()
+    _quadrature.cache_clear()
+    for s in specs:
+        for st in s.states:
+            f = Eigenfunction(state=st, reduced=s.reduced)
+            count_nodes(f)
+            norm_and_inner(f, f)
+    for cache in (_geometry, _quadrature):
+        info = cache.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(specs[0].states) - 1)
+        assert isinstance(info.maxsize, int) and 1 <= info.maxsize <= 16
+
+
+def test_cached_block_data_is_read_only():
+    xs, t, _, w = _quadrature(-0.6, 0.2, 9)
+    assert np.array_equal(t, xs * xs)
+    for arr in (xs, t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    p, t_well = _geometry(reduce(solve_constraint(QesIndex(3, 0), lam=-0.6, eta=0.05)[0]))
+    with pytest.raises(AttributeError):
+        p.lam = 0.0  # frozen couplings
+    assert type(t_well) is float
 
 
 def test_normalized_raises_where_the_norm_overflows():
