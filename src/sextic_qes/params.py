@@ -120,7 +120,7 @@ def check_constraint(r: ReducedParams, idx: QesIndex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# geometry of the potential, shared by node counts, norms and the oracle
+# geometry of the potential, shared by norms and the oracle
 
 
 def potential_v2(p: CouplingParams, x):

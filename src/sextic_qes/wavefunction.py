@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError, WeightMismatchError
-from .params import CouplingParams, ReducedParams, potential_v2, support_half_width, turning_point, well_bottom
+from .params import ReducedParams, potential_v2, support_half_width
 from .qes_core import QesState
 
 
@@ -106,29 +106,30 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# node counting by sign changes of the polynomial in t = x^2
-
-_EPS = np.finfo(float).eps
+# node counting by Descartes' rule of signs on the A_n
 
 
-@lru_cache(maxsize=8)
-def _geometry(r: ReducedParams) -> tuple[CouplingParams, float]:
-    """(couplings, t = x^2 at the bottom of V2) of a block; its states share one
-    ReducedParams, so a block builds them once."""
-    p = r.couplings()
-    return p, well_bottom(p)
+def count_nodes(f: Eigenfunction) -> NodeReport:
+    """Nodes of psi on the whole line: 2 per sign change of A_0, ..., A_N, plus x=0 if odd.
 
-
-def _allowed_region(f: Eigenfunction) -> tuple[float, float]:
-    """(x_t, k_max): the outer turning point, where 2E = V2, and sqrt(2E - min V2) on [0, x_t].
-
-    Every node of a bound state lies inside x_t, and by Sturm comparison with
-    y'' + k_max^2 y = 0 two nodes are at least pi/k_max apart.
+    For a state of spectrum every zero of P(t) = sum A_n t^n is real and simple
+    (Stieltjes, Acta Math. 6, 1885), so Descartes' rule of signs counts its
+    positive zeros t = x^2 exactly; by Newton's inequalities an A_n lost to
+    rounding sits between two of opposite sign, and adds one change either way.
+    For other coefficients the count is only Descartes' upper bound.  Raises
+    SolverError where A_N underflowed to 0.0, as the tail's signs are then hidden.
     """
-    (p, t_well), energy = _geometry(f.reduced), f.state.energy
-    t_turn = turning_point(p, energy)
-    v_min = min(0.0, potential_v2(p, math.sqrt(min(t_well, t_turn))))
-    return math.sqrt(t_turn), math.sqrt(max(0.0, 2.0 * energy - v_min))
+    c = f.state.coeffs
+    if c[-1] == 0.0:
+        raise SolverError(f"node count failed: A_{len(c) - 1} of state m={f.state.label} underflows to 0.0")
+    neg = np.signbit(c)
+    return NodeReport(count=2 * int(np.count_nonzero(neg[1:] != neg[:-1])) + f.state.parity)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+_QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
 def _samples(stop: float, num: int) -> np.ndarray:
@@ -138,55 +139,6 @@ def _samples(stop: float, num: int) -> np.ndarray:
     if num > 1:
         xs[-1] = stop
     return xs
-
-
-def _positive_roots(f: Eigenfunction) -> int:
-    """The number of roots t = x^2 of p(t) = sum A_n t^n inside the turning point.
-
-    Samples three to a node spacing pi/k_max leave at most one node between
-    two of them, even with one sample dropped.  A sample with |p| within
-    Horner's rounding bound (N+1) eps sum |A_n| t^n (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 5.1) has no known sign: alone it
-    is dropped, as it may be a root; two adjacent ones mean p is rounding noise
-    there, and raise SolverError.  Each sign change of the rest is one root.
-    """
-    coeffs = f.state.coeffs
-    x_t, k_max = _allowed_region(f)
-    xs = _samples(x_t, math.ceil(3.0 * x_t * k_max / math.pi) + 1)
-    t = xs * xs
-    p = _horner(coeffs, t)
-    abs_p, abs_c, tol = np.abs(p), np.abs(coeffs), len(coeffs) * _EPS
-    # with |A_n| >= 0 and t >= 0 each rounded Horner step is monotone in t, so
-    # the bound at the last (largest) t bounds every other sample's bound; in
-    # Python floats it takes the IEEE steps it takes on a numpy scalar
-    unknown = abs_p <= tol * _horner(abs_c.tolist(), float(t[-1]))
-    (near,) = unknown.nonzero()
-    if near.size:  # else, the common case, every sample's sign is known and all of them count
-        unknown[near] = abs_p[near] <= tol * _horner(abs_c, t[near])
-        (noise,) = (unknown[1:] & unknown[:-1]).nonzero()
-        if noise.size:
-            raise SolverError(
-                f"node count failed: rounding hides the sign of psi at x = {float(xs[noise[0]])!r}, "
-                f"inside the turning point {x_t!r}"
-            )
-        p = p[~unknown]
-    neg = np.signbit(p)
-    return int(np.count_nonzero(neg[1:] != neg[:-1]))
-
-
-def count_nodes(f: Eigenfunction) -> NodeReport:
-    """Nodes of psi on the whole line: 2 per root t = x^2 inside the turning point, plus x=0 if odd.
-
-    Raises SolverError where rounding hides the sign of psi inside the
-    allowed region (seen from N = 25 at a >= 0).
-    """
-    return NodeReport(count=2 * _positive_roots(f) + f.state.parity)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-_QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
 @lru_cache(maxsize=8)
@@ -223,22 +175,35 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
     degree = 2 * max(len(f.state.coeffs), len(g.state.coeffs)) - 2 + f.state.parity  # 2N + eps
-    xs, t, h, w = _quadrature(rf.a, rf.b, degree)
-    psi = _psi_over_weight(f, xs, t) * w  # eval_psi's bits
-    y = psi * psi if g is f else psi * eval_psi(g, xs)
-    return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
+    with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
+        xs, t, h, w = _quadrature(rf.a, rf.b, degree)
+        psi = _psi_over_weight(f, xs, t) * w  # eval_psi's bits
+        y = psi * psi if g is f else psi * eval_psi(g, xs)
+        return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
 
 
 def _finite_norm_sq(f: Eigenfunction) -> float:
-    """<f, f>, or SolverError where it is not finite: psi^2 overflows a double near
-    the wells of a < 0 once a^2/b exceeds ~1,418, where norm_and_inner returns inf or NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the error below says it instead
-        n2 = norm_and_inner(f, f)
+    """<f, f>, or SolverError where it is not finite (psi^2 overflows a double near
+    the wells of a < 0 once a^2/b exceeds ~1,418) or not certain to one digit:
+    Horner's rounding bound on psi at the nodes, delta_i = (N+1) eps |x_i|^eps
+    sum |A_n| t_i^n W_i (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 5.1), bounds that of norm^2 by 2h sum delta_i (2|psi_i| + delta_i)."""
+    n2 = norm_and_inner(f, f)
+    r, st = f.reduced, f.state
     if not math.isfinite(n2):
-        r = f.reduced
         raise SolverError(
-            f"the norm of state m={f.state.label} is not finite: psi^2 overflows a double "
+            f"the norm of state m={st.label} is not finite: psi^2 overflows a double "
             f"(a^2/b = {r.a * r.a / r.b:.6g})"
+        )
+    xs, t, h, w = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite refuses too
+        abs_p = _horner(np.abs(st.coeffs), t)
+        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(_scaled(f, xs * abs_p if st.parity else abs_p)) * w
+        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(_psi_over_weight(f, xs, t) * w) + delta)))
+    if not bound < 0.1 * n2:
+        raise SolverError(
+            f"the norm of state m={st.label} is not certain to one digit: the rounding bound "
+            f"on norm^2 is {bound / n2:.3g} of it (a^2/b = {r.a * r.a / r.b:.6g})"
         )
     return n2
 
@@ -247,7 +212,7 @@ def normalized(f: Eigenfunction) -> Eigenfunction:
     """Copy of f with norm_constant set so that it has unit norm.
 
     The constant multiplies psi in every evaluation; an f that already carries
-    one is rescaled from it.  Raises SolverError where the norm is not finite.
+    one is rescaled from it.  Raises SolverError as _finite_norm_sq does.
     """
     scale = 1.0 if f.norm_constant is None else f.norm_constant
     return Eigenfunction(state=f.state, reduced=f.reduced, norm_constant=scale / math.sqrt(_finite_norm_sq(f)))

@@ -379,7 +379,7 @@ BAD_INPUTS = [
     (["scan", "--scan", "lambda=0.1:1:0", "--eta", "0.03", "--N", "1"], 2),
     (["export", *PAPER_BLOCK, "--samples", "0:1:0", "--out", "x.csv"], 2),
     (["export", *PAPER_BLOCK, "--samples", "0:1:nan", "--out", "x.csv"], 2),
-    (["spectrum", "--lambda", "0.5", "--eta", "0.03", "--N", "30"], 4),  # node count fails
+    (["spectrum", "--lambda", "0.5", "--eta", "0.03", "--N", "30"], 4),  # m = 28's norm is not certain
     (["constraint", "--omega2", "-100", "--eta", "0.03", "--N", "0"], 4),  # NoSolutionError
     (["spectrum", "--omega2", "0.1", *PAPER_BLOCK], 3),
     (["table", *PAPER_BLOCK, "--out", "missing-dir/x.txt"], 6),
@@ -400,12 +400,13 @@ def test_bad_input_exits_with_its_code(runner, tmp_path, monkeypatch, args, code
 
 @pytest.mark.parametrize("command", ["spectrum", "export"])
 def test_node_count_failure_exits_4(tmp_path, command):
-    # rounding hides the sign of the top states' polynomials inside their
-    # turning points; the subprocess turns a hang into a failure
+    # the sum A_n t^n cancels in the top states, where rounding bounds the
+    # norm^2 of m = 32 only to 0.8 of itself; the node count of every state
+    # is known, and the subprocess turns a hang into a failure
     out = ["--out", str(tmp_path / "spec.json")] if command == "export" else []
     result = run_python("-m", "sextic_qes.cli", command, "--lambda", "0.5", "--eta", "0.03", "--N", "40", *out)
     assert result.returncode == 4
-    assert result.stderr.startswith("error: node count failed")
+    assert result.stderr.startswith("error: the norm of state m=32 is not certain to one digit")
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
 
@@ -494,8 +495,8 @@ def test_table_at_a2_over_b_92400_matches_the_mpmath_eigenvectors(runner):
 
 
 def test_export_csv_samples_need_no_node_counts(runner, tmp_path):
-    # the sample file holds no node counts, so a block whose top states'
-    # counts fail (N = 40) still exports its samples
+    # the sample file holds no node counts or norms, so a block whose top
+    # states' norms are not certain (N = 40) still exports its samples
     out = tmp_path / "s.csv"
     args = ["export", "--lambda", "0.5", "--eta", "0.03", "--N", "40", "--format", "csv", "--samples", "0:1:0.5"]
     result = runner.invoke(main, [*args, "--out", str(out)])

@@ -1,9 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
@@ -27,7 +28,7 @@ from sextic_qes import (
 )
 from sextic_qes.qes_core import QesState, closure_reduced
 from sextic_qes.params import support_half_width
-from sextic_qes.wavefunction import _geometry, _quadrature, _weight, psi_second_derivative
+from sextic_qes.wavefunction import _quadrature, _weight, psi_second_derivative
 
 from conftest import random_ab, run_python
 
@@ -223,15 +224,56 @@ def test_resolved_states_obey_the_node_law(lam, log_eta, n, eps):
 
 @pytest.mark.parametrize("lam, eta", [(0.0, 0.1), (1.5, 1.0), (0.5, 0.03)])
 def test_large_n_counts_obey_the_node_law_or_raise(lam, eta):
-    # from N ~ 25 rounding hides the sign of the top states' polynomials;
-    # Sturm sequences printed wrong counts here (at the first two couplings)
+    # from N ~ 25 rounding hides the sign of the top states' psi, which made the
+    # former sampled count raise, but not the signs of their A_n; Sturm sequences
+    # printed wrong counts here (at the first two couplings)
     for n in (28, 30, 40):
         for eps in (0, 1):
             for m, f in enumerate(block(lam, eta, n, eps)):
-                try:
-                    assert count_nodes(f).count == 2 * m + eps
-                except SolverError:
-                    assert m >= 25  # the low states are resolved and must be counted
+                assert count_nodes(f).count == 2 * m + eps
+
+
+@pytest.mark.parametrize("lam, eta, n, eps", [(-1.0, 0.01, 8, 1), (-0.5, 0.01, 12, 0), (0.5, 0.03, 20, 0), (0.0, 1.0, 6, 0)])
+def test_node_counts_are_the_positive_zeros_of_the_polynomial(lam, eta, n, eps):
+    # Descartes' rule is exact because every zero of P is real: check both at
+    # 50 digits on the float A_n, by Durand-Kerner seeded from numpy.roots.  In
+    # the lam = 0 block the middle state's odd A_n are rounding noise of either sign
+    funcs = block(lam, eta, n, eps)
+    for f in funcs if n <= 12 else funcs[::4] + funcs[-1:]:  # ~60 ms per state at N = 20
+        c = f.state.coeffs[::-1].tolist()
+        seeds = [complex(t) * (1 + 1e-3j) for t in np.roots(c)]
+        with mpmath.workdps(50):
+            zeros = mpmath.polyroots(c, maxsteps=30, extraprec=50, roots_init=seeds)
+            assert all(abs(mpmath.im(t)) <= 1e-40 * abs(t) for t in zeros), f.state.label
+            positive = sum(mpmath.re(t) > 0 for t in zeros)
+        assert count_nodes(f).count == 2 * positive + eps == 2 * f.state.label + eps
+
+
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.5, 0.5),
+    st.integers(0, 100),
+    st.integers(0, 1),
+    st.sampled_from(["omega2", "eta"]),
+)
+@settings(max_examples=40)
+@example(-1.5, -4.0, 98, 1, "omega2")  # A_98 underflows to 0.0 for m = 84 ... 98
+def test_counts_obey_the_node_law_or_raise_where_the_top_coefficient_underflows(lam, log_eta, n, eps, solve):
+    idx = QesIndex(n, eps)
+    try:
+        p = solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0]
+        if solve == "eta":
+            p = solve_constraint(idx, omega_sq=p.omega_sq, lam=lam)[0]
+        s = spectrum(reduce(p), idx)
+    except QesError:
+        return  # no spectrum at these couplings: nothing to count
+    for m, state in enumerate(s.states):
+        f = Eigenfunction(state=state, reduced=s.reduced)
+        if state.coeffs[-1] == 0.0:
+            with pytest.raises(SolverError, match=rf"A_{n} of state m={m} underflows to 0\.0"):
+                count_nodes(f)
+        else:
+            assert count_nodes(f).count == 2 * m + eps
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +415,19 @@ def test_normalized_eigenfunction_evaluates_normalized():
 
 
 def test_node_count_fails_instead_of_hanging():
-    # at N = 40 rounding hides the sign of state 37's polynomial inside its
-    # turning point; Sturm sequences looped forever there, and the subprocess
-    # turns a hang into a failure
+    # at N = 40 rounding hides the sign of state 37's psi inside its turning
+    # point: Sturm sequences looped forever there, and the sampled count raised;
+    # the subprocess turns a hang into a failure
     code = """
-from sextic_qes import Eigenfunction, QesIndex, SolverError, count_nodes, reduce, solve_constraint, spectrum
+from sextic_qes import Eigenfunction, QesIndex, count_nodes, reduce, solve_constraint, spectrum
 
 idx = QesIndex(40, 0)
 s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
-try:
-    count_nodes(Eigenfunction(state=s.states[37], reduced=s.reduced))
-except SolverError as exc:
-    print(exc)
+print(count_nodes(Eigenfunction(state=s.states[37], reduced=s.reduced)).count)
 """
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("node count failed: rounding hides the sign of psi")
+    assert result.stdout == "74\n"
 
 
 # ---------------------------------------------------------------------------
@@ -426,42 +465,19 @@ def test_norms_do_not_depend_on_the_order_of_calls():
         assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in in_order]
 
 
-def test_node_counts_do_not_depend_on_the_order_of_calls():
-    blocks = []
-    for lam, eta, n, eps in ((0.5, 0.03, 6, 0), (-0.8, 0.01, 9, 1)):
-        idx = QesIndex(n, eps)
-        s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
-        blocks.append([Eigenfunction(state=st, reduced=s.reduced) for st in s.states])
-    _geometry.cache_clear()
-    in_order = [[count_nodes(f).count for f in fs] for fs in blocks]
-    _geometry.cache_clear()
-    backwards = [[count_nodes(f).count for f in fs[::-1]][::-1] for fs in blocks]
-    _geometry.cache_clear()
-    interleaved = [[], []]
-    for f, g in zip(*blocks):  # the first block has the fewer states
-        interleaved[0].append(count_nodes(f).count)
-        interleaved[1].append(count_nodes(g).count)
-    interleaved[1] += [count_nodes(g).count for g in blocks[1][len(blocks[0]):]]
-    law = [[2 * m + eps for m in range(len(fs))] for fs, eps in zip(blocks, (0, 1))]
-    assert backwards == interleaved == in_order == law
-
-
 def test_equal_blocks_share_their_cache_entries():
     # two spectra of one block carry equal, but distinct, ReducedParams
     idx = QesIndex(4, 1)
     specs = [spectrum(reduce(solve_constraint(idx, lam=0.3, eta=0.05)[0]), idx) for _ in range(2)]
     assert specs[0].reduced == specs[1].reduced and specs[0].reduced is not specs[1].reduced
-    _geometry.cache_clear()
     _quadrature.cache_clear()
     for s in specs:
         for st in s.states:
             f = Eigenfunction(state=st, reduced=s.reduced)
-            count_nodes(f)
             norm_and_inner(f, f)
-    for cache in (_geometry, _quadrature):
-        info = cache.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(specs[0].states) - 1)
-        assert isinstance(info.maxsize, int) and 1 <= info.maxsize <= 16
+    info = _quadrature.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(specs[0].states) - 1)
+    assert isinstance(info.maxsize, int) and 1 <= info.maxsize <= 16
 
 
 def test_cached_block_data_is_read_only():
@@ -470,10 +486,19 @@ def test_cached_block_data_is_read_only():
     for arr in (xs, t, w):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    p, t_well = _geometry(reduce(solve_constraint(QesIndex(3, 0), lam=-0.6, eta=0.05)[0]))
-    with pytest.raises(AttributeError):
-        p.lam = 0.0  # frozen couplings
-    assert type(t_well) is float
+
+
+def test_norm_and_inner_overflows_without_warnings():
+    # lambda = -1.2, eta = 0.003: a = -9.5 and a^2/b = 2846, so W itself overflows
+    # on the quadrature nodes, out to the end of the support, and the trapezoid
+    # sum is inf - inf; numpy warned "overflow encountered" on the way
+    idx = QesIndex(1, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=-1.2, eta=0.003)[0]), idx)
+    f = Eigenfunction(state=s.states[0], reduced=s.reduced)
+    _quadrature.cache_clear()  # the weight's overflow happens when the nodes are built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(norm_and_inner(f, f))
 
 
 def test_normalized_raises_where_the_norm_overflows():
