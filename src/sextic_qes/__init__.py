@@ -15,7 +15,6 @@ from .params import (
     QesIndex,
     ReducedParams,
     constraint_gamma,
-    gamma_residual,
     reduce,
     solve_constraint,
     solve_cubic_trig,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -341,7 +342,9 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
 def _parse_scan(spec: str) -> tuple[str, np.ndarray]:
     name, _, rng = spec.partition("=")
     grid = _parse_range(rng, f"bad scan spec {spec!r}, expected NAME=START:STOP:STEP")
-    if name not in ("lambda", "eta", "omega2"):
+    if name == "omega2":
+        raise ValueError("omega2 is constraint-solved; scan over lambda and/or eta")
+    if name not in ("lambda", "eta"):
         raise ValueError(f"unknown scan coupling {name!r}")
     return name, grid
 
@@ -356,32 +359,20 @@ def cmd_scan(scans, lam, eta, n_cap, parity, out):
     """
     if len(scans) > 2:
         raise ValueError("at most two scan ranges")
-    idx = QesIndex(n_cap=n_cap, parity=_EPS[parity])
     axes = [_parse_scan(s) for s in scans]
     fixed = {"lambda": lam, "eta": eta}
     for name, _ in axes:
-        if name == "omega2":
-            raise ValueError("omega2 is constraint-solved; scan over lambda and/or eta")
         fixed.pop(name, None)
-    if any(v is None for v in fixed.values()):
-        missing = [k for k, v in fixed.items() if v is None]
+    missing = [k for k, v in fixed.items() if v is None]
+    if missing:
         raise ValueError(f"missing fixed coupling(s): {', '.join(missing)}")
 
-    grids = [axis[1] for axis in axes]
-    names = [axis[0] for axis in axes]
-    mesh = [(v,) for v in grids[0]] if len(grids) == 1 else [
-        (u, v) for u in grids[0] for v in grids[1]
-    ]
-
     rows = []
-    for point in mesh:
-        vals = dict(fixed)
-        for name, v in zip(names, point):
-            vals[name] = float(v)
+    for point in itertools.product(*(grid for _, grid in axes)):
+        vals = {**fixed, **{name: float(v) for (name, _), v in zip(axes, point)}}
         row_lam, row_eta = vals["lambda"], vals["eta"]
         try:
-            p = params_mod.solve_constraint(idx, omega_sq=None, lam=row_lam, eta=row_eta)[0]
-            spec = qes_core.spectrum(params_mod.reduce(p), idx)
+            p, spec, _ = _solve_block(None, row_lam, row_eta, n_cap, parity)
             energies = [repr(float(st.energy)) for st in spec.states]
             rows.append([repr(row_lam), repr(row_eta), repr(p.omega_sq)] + energies + [""])
         except QesError as exc:

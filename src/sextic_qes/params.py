@@ -57,10 +57,9 @@ class ReducedParams:
     def lam(self) -> float:
         return 4.0 * self.a * self.b
 
-    def omega_sq(self, gamma: float | None = None) -> float:
-        """Coupling omega2 implied by (a, b) and the given (or stored) gamma."""
-        g = self.gamma if gamma is None else gamma
-        return self.a**2 - g * self.b
+    def omega_sq(self) -> float:
+        """Coupling omega2 implied by (a, b, gamma)."""
+        return self.a**2 - self.gamma * self.b
 
     def couplings(self) -> CouplingParams:
         """The couplings (a, b, gamma) imply: omega2 = a^2 - gamma b, lam = 4ab, eta = 3b^2."""
@@ -94,11 +93,6 @@ def reduce(p: CouplingParams) -> ReducedParams:
 def constraint_gamma(idx: QesIndex) -> float:
     """Required value of gamma for a degree-N, parity-eps polynomial solution."""
     return float(4 * idx.n_cap + 3 + 2 * idx.parity)
-
-
-def gamma_residual(p: CouplingParams, idx: QesIndex) -> float:
-    """Signed mismatch gamma(p) - (4N + 3 + 2*eps)."""
-    return reduce(p).gamma - constraint_gamma(idx)
 
 
 def check_constraint(r: ReducedParams, idx: QesIndex) -> None:

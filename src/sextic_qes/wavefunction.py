@@ -116,13 +116,11 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
     (Stieltjes, Acta Math. 6, 1885), so Descartes' rule of signs counts its
     positive zeros t = x^2 exactly; by Newton's inequalities an A_n lost to
     rounding sits between two of opposite sign, and adds one change either way.
-    For other coefficients the count is only Descartes' upper bound.  Raises
-    SolverError where A_N underflowed to 0.0, as the tail's signs are then hidden.
+    The A_n are running products of nonzero ratios (qes_core._coefficients), so
+    one that underflows is a signed zero with the product's sign, which signbit
+    reads.  For other coefficients the count is only Descartes' upper bound.
     """
-    c = f.state.coeffs
-    if c[-1] == 0.0:
-        raise SolverError(f"node count failed: A_{len(c) - 1} of state m={f.state.label} underflows to 0.0")
-    neg = np.signbit(c)
+    neg = np.signbit(f.state.coeffs)
     return NodeReport(count=2 * int(np.count_nonzero(neg[1:] != neg[:-1])) + f.state.parity)
 
 
@@ -130,15 +128,6 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
 # quadrature
 
 _QUAD_NODES = 2001  # trapezoid nodes on the half line
-
-
-def _samples(stop: float, num: int) -> np.ndarray:
-    """np.linspace(0.0, stop, num) bit for bit, for stop = 0 or stop / (num - 1) > 0,
-    without linspace's overhead: the same products k * step, and the last node stop."""
-    xs = np.arange(num) * (stop / max(num - 1, 1))
-    if num > 1:
-        xs[-1] = stop
-    return xs
 
 
 @lru_cache(maxsize=8)
@@ -152,7 +141,7 @@ def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray
     """
     r = ReducedParams(a=a, b=b, c=0.0, gamma=0.0)  # c and gamma play no part here
     half = support_half_width(r, degree)
-    xs = _samples(half, _QUAD_NODES)
+    xs = np.linspace(0.0, half, _QUAD_NODES)
     t, w = xs * xs, _weight(r, xs)
     xs.flags.writeable = t.flags.writeable = w.flags.writeable = False
     return xs, t, half / (_QUAD_NODES - 1), w  # the samples' own spacing
@@ -183,11 +172,13 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
 
 
 def _finite_norm_sq(f: Eigenfunction) -> float:
-    """<f, f>, or SolverError where it is not finite (psi^2 overflows a double near
-    the wells of a < 0 once a^2/b exceeds ~1,418) or not certain to one digit:
-    Horner's rounding bound on psi at the nodes, delta_i = (N+1) eps |x_i|^eps
-    sum |A_n| t_i^n W_i (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, 5.1), bounds that of norm^2 by 2h sum delta_i (2|psi_i| + delta_i)."""
+    """<f, f>, or SolverError where the trapezoid sum is not finite or not certain to one digit.
+
+    It is not finite where psi^2 or W overflows a double at a node; no threshold on a^2/b
+    marks that (lambda = -0.921875, eta = 3.7855e-3, N = 11, omega2 solved: m = 0 overflows
+    at a^2/b = 1,185).  Horner's rounding bound on psi at the nodes, delta_i = (N+1) eps
+    |x_i|^eps sum |A_n| t_i^n W_i (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 5.1), must keep the one on norm^2, 2h sum delta_i (2|psi_i| + delta_i), below norm^2/10."""
     n2 = norm_and_inner(f, f)
     r, st = f.reduced, f.state
     if not math.isfinite(n2):

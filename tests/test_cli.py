@@ -411,6 +411,16 @@ def test_node_count_failure_exits_4(tmp_path, command):
     assert result.stdout == ""
 
 
+def test_underflowed_top_coefficients_leave_the_refusal_to_the_norm(runner):
+    # A_90 of m = 0 ... 4 underflows to 0.0 (a^2/b = 519,756); their signed
+    # zeros still give the node count, so the only refusal is the norm's at m = 28
+    result = runner.invoke(main, ["spectrum", "--lambda", "3", "--eta", "3.1623e-4", "--N", "90"])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: the norm of state m=28 is not certain to one digit")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 # a = -7.9 and -9.5: psi^2 overflows a double (a^2/b = 1976 and 2846), and the norm with it
 NON_FINITE_NORM = [
     ["spectrum", "--lambda", "-1", "--eta", "0.003", "--N", "0", "--format", "json"],

@@ -46,7 +46,6 @@ from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     _horner,
     _psi_and_d2_over_weight,
-    _samples,
     count_nodes,
     eval_psi,
     norm_and_inner,
@@ -423,12 +422,6 @@ def test_inner_products_of_different_degree_keep_their_bits():
             for f in fs[::2]:
                 for g in fs[1::3]:
                     assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
-
-
-@pytest.mark.parametrize("stop", [0.0, 1.0, math.pi, 12.680533, 7.3e5, 1e-300])
-def test_samples_are_linspace(stop):
-    for num in range(1, 2002):
-        assert identical(_samples(stop, num), np.linspace(0.0, stop, num)), num
 
 
 def test_turning_points_are_python_floats():

@@ -258,7 +258,9 @@ def test_node_counts_are_the_positive_zeros_of_the_polynomial(lam, eta, n, eps):
 )
 @settings(max_examples=40)
 @example(-1.5, -4.0, 98, 1, "omega2")  # A_98 underflows to 0.0 for m = 84 ... 98
-def test_counts_obey_the_node_law_or_raise_where_the_top_coefficient_underflows(lam, log_eta, n, eps, solve):
+@example(3.0, -3.5, 90, 0, "omega2")  # eta = 3.1623e-4: A_90 underflows to 0.0 for m = 0 ... 4
+def test_counts_obey_the_node_law_even_where_the_top_coefficient_underflows(lam, log_eta, n, eps, solve):
+    # an underflowed A_n is a signed zero that keeps the sign of its running product
     idx = QesIndex(n, eps)
     try:
         p = solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0]
@@ -268,12 +270,7 @@ def test_counts_obey_the_node_law_or_raise_where_the_top_coefficient_underflows(
     except QesError:
         return  # no spectrum at these couplings: nothing to count
     for m, state in enumerate(s.states):
-        f = Eigenfunction(state=state, reduced=s.reduced)
-        if state.coeffs[-1] == 0.0:
-            with pytest.raises(SolverError, match=rf"A_{n} of state m={m} underflows to 0\.0"):
-                count_nodes(f)
-        else:
-            assert count_nodes(f).count == 2 * m + eps
+        assert count_nodes(Eigenfunction(state=state, reduced=s.reduced)).count == 2 * m + eps
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +321,7 @@ def _ode_certificate(f, xs):
     [(1.25, 0.1, range(13), 180), (-1.5, 0.3, range(13), 180), (0.0, 0.1, [20], 32)],
     ids=["1.25-0.1", "-1.5-0.3", "0.0-0.1-N20"],  # of 182, 182 and 42 states: 182, 181, 32 pass
 )
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")  # a reference quad cannot deliver fails
 def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
     # every state whose ODE residual certifies it (rel <= 1e-9); the states
     # left out are limited by monomial cancellation, not by the quadrature.
@@ -338,7 +336,7 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
                     continue
                 half, _ = quad(
                     lambda x: float(eval_psi(f, x)) ** 2, 0.0, 2.0 * cut,
-                    epsabs=0.0, epsrel=1e-13, limit=500,
+                    epsabs=0.0, epsrel=1e-12, limit=500,
                 )
                 assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
                 checked += 1
@@ -349,10 +347,13 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
     "a, b, n_certified",
     [(1e6, 0.1, 6), (1.0, 1e20, 180), (-20.0, 0.35, 60), (-1e4, 1e5, 12)],
 )
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_trapezoid_norm_resolves_narrow_weights(a, b, n_certified):
     # a weight far narrower than the cutoff's floor of 6 (large a or b), and
-    # a < 0 near a^2 = 1418 b, beyond which psi^2 overflows at its peak.  Of
-    # 182 states each, 182, 182, 110 and 110 are certified.
+    # a < 0 with a^2/b = 1,143 and 1,000, where psi^2 peaks near
+    # P(t)^2 exp(a^2/2b) = P(t)^2 exp(571) and exp(500); it overflows a double
+    # past exp(709.8), so where that happens depends on the A_n, not on a^2/b
+    # alone.  Of 182 states each, 182, 182, 110 and 110 are certified.
     x_peak = math.sqrt(max(0.0, -a / b))
     width = min(1.0 / math.sqrt(abs(a) + 3.0 * b * x_peak**2), b**-0.25)
     checked = 0
@@ -366,7 +367,7 @@ def test_trapezoid_norm_resolves_narrow_weights(a, b, n_certified):
                 half, _ = quad(
                     lambda x: float(eval_psi(f, x)) ** 2, lo, hi,
                     points=[x_peak] if x_peak > 0.0 else None,
-                    epsabs=0.0, epsrel=1e-13, limit=1000,
+                    epsabs=0.0, epsrel=1e-12, limit=1000,
                 )
                 assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
                 checked += 1
