@@ -97,23 +97,16 @@ def _format_table(spec: qes_core.QesSpectrum) -> str:
     headers = ["m"] + [f"A{i}" for i in range(1, n + 1)] + ["E"]
     lines = [("  ".join(f"{h:>11}" for h in headers)).rstrip()]
     for st in spec.states:
-        cells = [f"{st.label:>11d}"]
-        for i in range(1, n + 1):
-            cells.append(f"{st.coeffs[i]:>+11.6f}")
-        cells.append(f"{st.energy:>11.6f}")
-        lines.append("  ".join(cells))
+        cells = (f"{c:>+11.6f}" for c in st.coeffs[1:])
+        lines.append("  ".join([f"{st.label:>11d}", *cells, f"{st.energy:>11.6f}"]))
     return "\n".join(lines) + "\n"
 
 
 def _state_records(spec: qes_core.QesSpectrum, with_nodes: bool = True) -> list[dict]:
     records = []
     for st in spec.states:
-        rec = {
-            "m": st.label,
-            "parity": st.parity,
-            "energy": st.energy,
-            "coefficients": [float(c) for c in st.coeffs],
-        }
+        rec = {"m": st.label, "parity": st.parity, "energy": st.energy}
+        rec["coefficients"] = [float(c) for c in st.coeffs]
         if with_nodes:
             f = wavefunction.Eigenfunction(state=st, reduced=spec.reduced)
             rec["nodes"] = wavefunction.count_nodes(f).count
@@ -158,8 +151,7 @@ def _psi_samples(spec: qes_core.QesSpectrum, xs: np.ndarray) -> list[list[float]
     not finite: psi overflows a double near the wells once a^2/b is large, or at huge |x|."""
     r, rows = spec.reduced, []
     for st in spec.states:
-        with np.errstate(over="ignore", invalid="ignore"):  # the error below says it instead
-            psi = wavefunction.eval_psi(wavefunction.Eigenfunction(state=st, reduced=r), xs)
+        psi = wavefunction.eval_psi(wavefunction.Eigenfunction(state=st, reduced=r), xs)  # silent where not finite
         (bad,) = (~np.isfinite(psi)).nonzero()
         if bad.size:
             raise SolverError(
@@ -223,10 +215,7 @@ def cmd_table(omega2, lam, eta, n_cap, parity, paper_caption_omega, fmt, out):
     """Print the coefficient/eigenvalue table for one (N, parity) block."""
     p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity, not paper_caption_omega)
     if paper_caption_omega:
-        click.echo(
-            "note: constraint not enforced; table uses the closure values of (c, gamma)",
-            err=True,
-        )
+        click.echo("note: constraint not enforced; table uses the closure values of (c, gamma)", err=True)
     elif solved:
         click.echo(f"note: omega2 solved from the constraint: {p.omega_sq:.10g}", err=True)
 
@@ -270,8 +259,7 @@ def cmd_spectrum(omega2, lam, eta, n_cap, parity, fmt, out):
 def cmd_constraint(omega2, lam, eta, n_cap, parity):
     """Solve the coupling constraint for the one omitted coupling."""
     idx = QesIndex(n_cap=n_cap, parity=_EPS[parity])
-    given = sum(v is not None for v in (omega2, lam, eta))
-    if given != 2:
+    if sum(v is not None for v in (omega2, lam, eta)) != 2:
         raise ValueError("provide exactly two of --omega2, --lambda, --eta")
     sols = params_mod.solve_constraint(idx, omega_sq=omega2, lam=lam, eta=eta)
     name = "omega2" if omega2 is None else ("lambda" if lam is None else "eta")

@@ -137,9 +137,20 @@ def well_bottom(p: CouplingParams) -> float:
 
 
 def turning_point(p: CouplingParams, energy: float) -> float:
-    """t = x^2 of the outer turning point: the largest root of V2 = 2E, a cubic in t (0 if none)."""
+    """t = x^2 of the outer turning point: the largest root of V2 = 2E, a cubic in t (0 if none).
+
+    Newton's steps on V2 - 2E polish the closed form's root while they shrink: its shift
+    -b2/3 cancels where t << |b2| (small E, large lam/eta)."""
     b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
-    return max(0.0, *_cubic_real_roots(b2, b1, b0))
+    t, step = max(0.0, *_cubic_real_roots(b2, b1, b0)), math.inf
+    for _ in range(60):
+        slope = p.omega_sq + t * (p.lam + t * p.eta)
+        gap = t * (p.omega_sq + t * (0.5 * p.lam + t * p.eta / 3.0)) - 2.0 * energy
+        new = gap / slope if t and slope else 0.0
+        if not abs(new) < abs(step):
+            break
+        t, step = t - new, new
+    return t
 
 
 def support_half_width(r: ReducedParams, degree: float) -> float:
@@ -233,12 +244,9 @@ def solve_constraint(
             raise InvalidCouplingError(f"eta must be > 0, got {eta}")
         rhs = 16.0 * eta * (g * math.sqrt(eta / 3.0) + omega_sq) / 3.0
         if rhs < 0:
-            raise NoSolutionError(
-                f"no real lam satisfies the constraint (lam^2 = {rhs:.6g} < 0)"
-            )
+            raise NoSolutionError(f"no real lam satisfies the constraint (lam^2 = {rhs:.6g} < 0)")
         root = math.sqrt(rhs)
-        sols = {root, -root}
-        return [CouplingParams(omega_sq, l, eta) for l in sorted(sols)]
+        return [CouplingParams(omega_sq, l, eta) for l in sorted({root, -root})]
 
     return _solve_eta(omega_sq, lam, g)
 
@@ -261,9 +269,7 @@ def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
     u = -g/w, i.e. eta = 3 omega2^2 / g^2, and only when omega2 < 0.
     Inside [1e-12, 1e12] the root is then settled by _bisect_on_grid.
     """
-    c = 3.0 * math.sqrt(3.0) / 16.0
-    r = abs(lam)
-    w = math.sqrt(3.0) * omega_sq
+    c, r, w = 3.0 * math.sqrt(3.0) / 16.0, abs(lam), math.sqrt(3.0) * omega_sq
     if r == 0.0:
         u = -g / w if omega_sq < 0.0 else math.nan
     else:

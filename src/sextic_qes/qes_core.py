@@ -201,13 +201,6 @@ def solve_quartic_real(p: float, q: float, r: float) -> np.ndarray:
     Newton polish per root.  Raises SolverError if the roots are not all real
     (which signals an input outside the admissible regime, not a solver bug).
     """
-
-    def quartic(x: float) -> float:
-        return ((x * x + p) * x + q) * x + r
-
-    def dquartic(x: float) -> float:
-        return (4.0 * x * x + 2.0 * p) * x + q
-
     if abs(q) < 1e-14 * max(1.0, abs(p)) ** 1.5:
         # biquadratic: s^2 + p s + r = 0 in s = chi^2
         d = p * p - 4.0 * r
@@ -241,16 +234,15 @@ def solve_quartic_real(p: float, q: float, r: float) -> np.ndarray:
         roots = np.array(roots)
 
     for i, x in enumerate(roots):
-        d = dquartic(x)
+        d = (4.0 * x * x + 2.0 * p) * x + q
         if d != 0.0:
-            roots[i] = x - quartic(x) / d
+            roots[i] = x - (((x * x + p) * x + q) * x + r) / d
     return np.sort(roots)
 
 
 def _closed_form_a1(r: ReducedParams, idx: QesIndex) -> np.ndarray:
     """All A_1 values for N <= 3 from the paper-grade closed forms."""
-    a, b = r.a, r.b
-    n_cap, eps = idx.n_cap, idx.parity
+    a, b, n_cap, eps = r.a, r.b, idx.n_cap, idx.parity
 
     if n_cap == 0:
         return np.array([0.0])
@@ -274,8 +266,7 @@ def _closed_form_a1(r: ReducedParams, idx: QesIndex) -> np.ndarray:
             p = -10.0 * (a * a + 6.0 * b)
             q = 96.0 * a * b
             rr = 9.0 * (a**4 + 12.0 * a * a * b + 20.0 * b * b)
-            w = solve_quartic_real(p, q, rr) - 3.0 * a  # A_1 = chi - 3a
-            return w
+            return solve_quartic_real(p, q, rr) - 3.0 * a  # A_1 = chi - 3a
         # odd: monic quartic in w = 3 A_1; depress by w = chi - 3a
         c2 = 44.0 * a * a - 100.0 * b
         c1 = 24.0 * a * (2.0 * a * a - 21.0 * b)
@@ -293,8 +284,7 @@ def _closed_form_a1(r: ReducedParams, idx: QesIndex) -> np.ndarray:
 
 def _rational_coeffs(a1: float, r: ReducedParams, idx: QesIndex) -> np.ndarray:
     """A_0..A_N via the rational back-substitution formulas (N <= 3)."""
-    a, b = r.a, r.b
-    n_cap, eps = idx.n_cap, idx.parity
+    a, b, n_cap, eps = r.a, r.b, idx.n_cap, idx.parity
     coeffs = np.empty(n_cap + 1)
     coeffs[0] = 1.0
     if n_cap >= 1:
@@ -326,10 +316,8 @@ def spectrum_closed_form(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
         raise SolverError(f"closed forms exist only for N <= 3, got N={idx.n_cap}")
     rc = closure_reduced(r, idx)
     a1_values = _closed_form_a1(rc, idx)
-    pairs = sorted(
-        ((float(energy_from_a1(a1, rc.a, idx.parity)), float(a1)) for a1 in a1_values),
-        key=lambda t: t[0],
-    )
+    pairs = sorted(((float(energy_from_a1(a1, rc.a, idx.parity)), float(a1)) for a1 in a1_values),
+                   key=lambda t: t[0])
     states = []
     for m, (e, a1) in enumerate(pairs):
         try:

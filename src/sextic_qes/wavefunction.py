@@ -1,8 +1,9 @@
 """Eigenfunction evaluation, node counting, inner products, ODE residuals.
 
-An eigenfunction is x^eps * (sum_n A_n x^{2n}) * exp(-a x^2/2 - b x^4/4).
-Derivatives are taken analytically (polynomial algebra in t = x^2 times the
-exponential), never by finite differences; numeric differentiation appears only in tests.
+An eigenfunction is x^eps * (sum_n A_n x^{2n}) * exp(-a x^2/2 - b x^4/4).  On a grid,
+the states of a block share one weighted power basis B[n] = t^n W(x), t = x^2: psi is
+x^eps (A @ B), and psi'' follows from one (3, N+1) @ B product by the product rule,
+never by finite differences; numeric differentiation appears only in tests.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from .qes_core import QesState
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """A QES eigenfunction; b > 0 makes it normalizable.
-
-    norm_constant, when set, multiplies psi and its derivatives.
-    """
+    """A QES eigenfunction; b > 0 makes it normalizable.  norm_constant, when set, multiplies psi."""
 
     state: QesState
     reduced: ReducedParams
@@ -37,72 +35,97 @@ class NodeReport:
     count: int
 
 
-def _weight(r: ReducedParams, x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    return np.exp(-0.5 * r.a * x2 - 0.25 * r.b * x2 * x2)
+_BLOCK = 1 << 20  # doubles in the basis of one block of points, at most
+_BASIS: list = [None, None]  # the one basis held: its key (the grid's bytes, a, b, rows) and arrays
 
 
-def _horner(c: np.ndarray, x):
-    """sum_k c[k] x^k by Horner's rule in place, with the IEEE operations of numpy's polyval(x, c)."""
-    acc = c[-1] + x * 0.0
-    for ck in c[-2::-1]:
-        acc *= x
-        acc += ck
-    return acc
+def _basis(x: np.ndarray, a: float, b: float, rows: int) -> tuple:
+    """(B, k, s, q) at the points x for the weight (a, b): B[j] = 2^-k[j] t^n W, n = rows - 1 - j, t = x^2,
+    in descending n, so that a coefficient row sums in Horner's order.  Each row is the one below times
+    t.  Where that overflows at finite W (the top row shows it), the rows are formed again, each from
+    the one below scaled by the least power of two that keeps its finite part finite, which is exact
+    (k is None where no row needs it).  Rows are 0 where W is, also where t overflows.  s = a + bt and
+    q = ts^2 - s - 2bt serve psi''.  The grid's bytes, not its identity, key the one basis held."""
+    key = (x.tobytes(), a, b, rows)
+    if _BASIS[0] == key:  # compared, not hashed
+        return _BASIS[1]
+    _BASIS[:] = None, None  # the old basis goes first
+    with np.errstate(over="ignore", invalid="ignore"):  # inf says where W or t^n W overflows
+        t = x * x
+        w = np.exp(-0.5 * a * t - 0.25 * b * t * t)
+        w[np.isinf(t)] = 0.0
+        t[w == 0.0] = 0.0
+        basis, k, t_exp = np.empty((rows, x.size)), np.zeros(rows, dtype=int), math.frexp(t.max())[1]
+        basis[-1] = w
+        for j in range(rows - 2, -1, -1):
+            np.multiply(basis[j + 1], t, out=basis[j])
+        for j in range(rows - 2, -1, -1) if np.isinf(basis[0][w < math.inf]).any() else ():  # again, scaled
+            below, k[j] = basis[j + 1], k[j + 1]
+            if np.multiply(below, t, out=basis[j]).max() == math.inf:
+                e = max(0, math.frexp(below.max(initial=0.0, where=below < math.inf))[1] + t_exp - 1023)
+                k[j] += e
+                np.multiply(np.ldexp(below, -e), t, out=basis[j])
+        s = a + b * t
+        q = t * s * s - s - 2.0 * b * t
+    basis.flags.writeable = s.flags.writeable = q.flags.writeable = False
+    _BASIS[:] = key, (basis, k if k.any() else None, s, q)
+    return _BASIS[1]
 
 
-def _scaled(f: Eigenfunction, y):
-    """y times f.norm_constant, when f carries one."""
-    return y if f.norm_constant is None else f.norm_constant * y
+@lru_cache(maxsize=4)
+def _factors(rows: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
+    """M's and L's factors in descending n: 2n + eps for n = N..0, 2n (2n + 2 eps - 1) for n = N..1."""
+    n = np.arange(rows - 1, -1, -1)
+    return 2 * n + eps, (2 * n * (2 * n + 2 * eps - 1))[:-1]
 
 
-def _psi_over_weight(f: Eigenfunction, x: np.ndarray, t: np.ndarray | None = None):
-    """x^eps * sum A_n t^n with t = x^2 (formed here unless given), by Horner in t
-    (times norm_constant, if set)."""
-    poly = _horner(f.state.coeffs, x * x if t is None else t)
-    return _scaled(f, x * poly if f.state.parity else poly)
+def _products(f: Eigenfunction, x: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:
+    """Per set of coefficient rows, its sums against B at the points of x: both rows' of a pair, or
+    L - 2sM + qP for the rows of P, M and L; per block of points of at most _BLOCK basis doubles."""
+    flat, n = x.reshape(-1), sets[0].shape[1]
+    outs = [np.empty((1 if len(rows) == 3 else len(rows), *x.shape)) for rows in sets]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN says where psi overflows
+        for lo in range(0, flat.size, step := max(1, _BLOCK // n)):
+            basis, k, s, q = _basis(flat[lo : lo + step], f.reduced.a, f.reduced.b, n)
+            for y, rows in zip(outs, sets):
+                p = (rows if k is None else np.ldexp(rows, k)) @ basis
+                y.reshape(len(y), -1)[:, lo : lo + step] = p[2] - 2.0 * s * p[1] + q * p[0] if len(p) == 3 else p
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+
+def _evaluate(f: Eigenfunction, x: np.ndarray, *second: bool) -> list[np.ndarray]:
+    """psi and x^eps |A| @ B at x, or psi'' for each True in second (times norm_constant, if set).
+
+    psi = x^eps (A @ B), with |A| as a second row: it scales psi's rounding, and numpy runs a
+    two-row product as a matrix product, which adds a point's terms in order of n (a one-row gemv
+    adds them in groups).  With P(t) = sum A_n t^n, M = eps P + 2t P', L = (4 eps + 2) P' + 4t P''
+    and s = a + bt, so that -(log W)' = xs, the product rule gives psi'' = x^eps W [L - 2sM + qP]
+    with q = ts^2 - s - 2bt, and PW, MW, LW from one (3, N+1) @ B product.  s vanishes at the
+    wells of a < 0, where psi''/W in powers of t would cancel.
+    """
+    c, eps = f.state.coeffs[::-1], f.state.parity  # descending n
+    m, l = _factors(len(c), eps)
+    pml = np.array([c, m * c, np.append(0.0, l * c[:-1])]) if any(second) else None
+    out = _products(f, x, [pml if d2 else np.array([c, np.abs(c)]) for d2 in second])
+    out = x * out if eps else out
+    return list(out if f.norm_constant is None else f.norm_constant * out)
 
 
 def eval_psi(f: Eigenfunction, x) -> np.ndarray:
-    """psi(x); the polynomial is evaluated by Horner in t = x^2."""
-    x = np.asarray(x, dtype=float)
-    return _psi_over_weight(f, x) * _weight(f.reduced, x)
-
-
-def _psi_and_d2_over_weight(f: Eigenfunction, x: np.ndarray):
-    """(psi/W, psi''/W) from P, M and L, each by Horner in t = x^2 (times norm_constant, if set).
-
-    With P(t) = sum A_n t^n, M = eps P + 2t P', L = (4 eps + 2) P' + 4t P'' and
-    s = a + b t, so that -(log W)' = x s, the product rule on x^eps P(t) W gives
-    psi''/W = x^eps [L - 2s M + (t s^2 - s - 2bt) P].  s vanishes at the wells of
-    a < 0, where the expansion of psi''/W in powers of t would cancel.  psi/W has
-    the bits of eval_psi.
-    """
-    a, b, eps, c = f.reduced.a, f.reduced.b, f.state.parity, f.state.coeffs
-    n = np.arange(len(c))
-    l_coeffs = np.append(2 * n[1:] * (2 * n[1:] + 2 * eps - 1) * c[1:], 0.0)
-    t = x * x
-    p, m, l = (_horner(d, t) for d in (c, (2 * n + eps) * c, l_coeffs))
-    s = a + b * t
-    d2 = l - 2.0 * s * m + (t * s * s - s - 2.0 * b * t) * p
-    lead = x if eps else 1.0
-    return _scaled(f, lead * p), _scaled(f, lead * d2)
+    """psi(x); 0.0 where the weight underflows, also where x^2 overflows."""
+    return _evaluate(f, np.asarray(x, dtype=float), False)[0].copy()  # not a view that holds |A| @ B
 
 
 def psi_second_derivative(f: Eigenfunction, x) -> np.ndarray:
     """psi''(x) from the exact product rule on polynomial times weight."""
-    x = np.asarray(x, dtype=float)
-    return _psi_and_d2_over_weight(f, x)[1] * _weight(f.reduced, x)
+    return _evaluate(f, np.asarray(x, dtype=float), True)[0]
 
 
 def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
     """Pointwise residual psi'' + (2E - V2) psi, V2 from the couplings of f's reduced parameters."""
     xs = np.asarray(xs, dtype=float)
-    r = f.reduced
-    v2 = potential_v2(r.couplings(), xs)
-    w = _weight(r, xs)
-    psi, d2 = _psi_and_d2_over_weight(f, xs)
-    return d2 * w + (2.0 * energy - v2) * (psi * w)
+    d2, psi, _ = _evaluate(f, xs, True, False)
+    return d2 + (2.0 * energy - potential_v2(f.reduced.couplings(), xs)) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +154,13 @@ _QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
 @lru_cache(maxsize=8)
-def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(xs, xs^2, h, W(xs)): the trapezoid nodes on [0, L], their squares, their
-    spacing and the weight on them.
-
-    L is the support at this degree (see norm_and_inner).  A block's states share
-    (a, b, 2N + eps), so a block builds them once; the arrays are read-only, as
-    every caller shares them.
-    """
-    r = ReducedParams(a=a, b=b, c=0.0, gamma=0.0)  # c and gamma play no part here
-    half = support_half_width(r, degree)
+def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, float]:
+    """(xs, h): the trapezoid nodes on [0, L] and their spacing; L is the support at this degree
+    (see norm_and_inner).  A block's states share them, and their basis; xs is read-only."""
+    half = support_half_width(ReducedParams(a=a, b=b, c=0.0, gamma=0.0), degree)  # c and gamma play no part
     xs = np.linspace(0.0, half, _QUAD_NODES)
-    t, w = xs * xs, _weight(r, xs)
-    xs.flags.writeable = t.flags.writeable = w.flags.writeable = False
-    return xs, t, half / (_QUAD_NODES - 1), w  # the samples' own spacing
+    xs.flags.writeable = False
+    return xs, half / (_QUAD_NODES - 1)  # the samples' own spacing
 
 
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
@@ -159,15 +175,14 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
         raise WeightMismatchError(
-            f"eigenfunctions have different weights: (a={rf.a}, b={rf.b}) vs (a={rg.a}, b={rg.b})"
-        )
+            f"eigenfunctions have different weights: (a={rf.a}, b={rf.b}) vs (a={rg.a}, b={rg.b})")
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
     degree = 2 * max(len(f.state.coeffs), len(g.state.coeffs)) - 2 + f.state.parity  # 2N + eps
+    xs, h = _quadrature(rf.a, rf.b, degree)
+    psi = _evaluate(f, xs, False)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
-        xs, t, h, w = _quadrature(rf.a, rf.b, degree)
-        psi = _psi_over_weight(f, xs, t) * w  # eval_psi's bits
-        y = psi * psi if g is f else psi * eval_psi(g, xs)
+        y = psi * psi if g is f else psi * _evaluate(g, xs, False)[0]
         return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
 
 
@@ -176,9 +191,12 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
 
     It is not finite where psi^2 or W overflows a double at a node; no threshold on a^2/b
     marks that (lambda = -0.921875, eta = 3.7855e-3, N = 11, omega2 solved: m = 0 overflows
-    at a^2/b = 1,185).  Horner's rounding bound on psi at the nodes, delta_i = (N+1) eps
-    |x_i|^eps sum |A_n| t_i^n W_i (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, 5.1), must keep the one on norm^2, 2h sum delta_i (2|psi_i| + delta_i), below norm^2/10."""
+    at a^2/b = 1,185).  Row n of the basis carries n roundings of its running product from
+    W, and the product sums N+1 terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 3.1), so each term of psi at node i is within gamma_{2N+1} <= (N+1) eps of exact for
+    the node's t and W: delta_i = (N+1) eps |x_i|^eps (|A| @ B)_i.  Its bound on norm^2,
+    2h sum delta_i (2|psi_i| + delta_i), must stay below norm^2/10.
+    """
     n2 = norm_and_inner(f, f)
     r, st = f.reduced, f.state
     if not math.isfinite(n2):
@@ -186,11 +204,11 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
             f"the norm of state m={st.label} is not finite: psi^2 overflows a double "
             f"(a^2/b = {r.a * r.a / r.b:.6g})"
         )
-    xs, t, h, w = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)
+    xs, h = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)
     with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite refuses too
-        abs_p = _horner(np.abs(st.coeffs), t)
-        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(_scaled(f, xs * abs_p if st.parity else abs_p)) * w
-        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(_psi_over_weight(f, xs, t) * w) + delta)))
+        psi, abs_psi = _evaluate(f, xs, False)
+        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
+        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
     if not bound < 0.1 * n2:
         raise SolverError(
             f"the norm of state m={st.label} is not certain to one digit: the rounding bound "

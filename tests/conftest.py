@@ -83,3 +83,17 @@ def mp_coefficients(m, theta: float, dps: int = 200) -> np.ndarray:
             if abs(step) <= mpmath.mpf(10) ** (-dps // 2) * max(1, abs(th)):
                 break
         return np.array([float(v) for v in forward(th)[0]])
+
+
+def rounding_bound(n_cap, eps, a, b, x, second=False):
+    """The evaluation kernel's rounding of psi (or psi'') over its magnitude sum
+    |x|^eps W sum |A_n| t^n (or its counterpart for psi''), to first order in the unit roundoff u.
+
+    Row n of the basis carries n roundings of t = x^2 and n of its running product,
+    the product sums N + 1 terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 3.1) and x^eps adds one: gamma_{3N+2+eps}.  psi'' adds 15 for s,
+    q and L - 2sM + qP.  W is exp of an argument off by gamma_5 (|a| t/2 + b t^2/4),
+    and exp itself is allowed 4 u.  1% covers the gamma's denominators.
+    """
+    t = x * x
+    return 1.01 * (np.finfo(float).eps / 2) * (3 * n_cap + 2 + eps + 15 * second + 5 * (abs(a) * t / 2 + b * t * t / 4) + 4)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from sextic_qes import (
 from sextic_qes.cli import _parse_range, main
 from sextic_qes.params import potential_v2
 
-from conftest import mp_coefficients, run_python
+from conftest import mp_coefficients, rounding_bound, run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,7 +183,8 @@ def test_export_csv_sample_grid(runner, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_export_samples_equal_pointwise_eval(runner, tmp_path, fmt):
-    # the whole-grid evaluation gives the bits of one eval_psi call per point
+    # the samples have the bits of one eval_psi call on the whole grid; a call per point
+    # sums its basis in another order, so it is within the kernel's rounding bound of them
     out = tmp_path / f"samples.{fmt}"
     args = ["--lambda", "-0.6", "--eta", "0.05", "--N", "3", "--parity", "odd"]
     result = runner.invoke(
@@ -192,15 +194,20 @@ def test_export_samples_equal_pointwise_eval(runner, tmp_path, fmt):
     p = solve_constraint(QesIndex(3, 1), lam=-0.6, eta=0.05)[0]
     spec = spectrum(reduce(p), QesIndex(3, 1))
     xs = -6.0 + 0.01 * np.arange(1201)
-    expect = [
-        [float(eval_psi(Eigenfunction(state=st, reduced=spec.reduced), x)) for x in xs]
-        for st in spec.states
-    ]
+    fs = [Eigenfunction(state=st, reduced=spec.reduced) for st in spec.states]
+    expect = [eval_psi(f, xs).tolist() for f in fs]
     if fmt == "json":
-        assert json.loads(out.read_text())["samples"]["psi"] == expect
+        got = json.loads(out.read_text())["samples"]["psi"]
     else:
         rows = list(csv.reader(out.read_text().splitlines()))[1:]
-        assert [[float(v) for v in col] for col in list(zip(*rows))[1:]] == expect
+        got = [[float(v) for v in col] for col in list(zip(*rows))[1:]]
+    assert got == expect
+    bound = rounding_bound(3, 1, spec.reduced.a, spec.reduced.b, xs)
+    for f, psi in zip(fs, expect):
+        g = Eigenfunction(state=replace(f.state, coeffs=np.abs(f.state.coeffs)), reduced=f.reduced)
+        scale = np.abs(eval_psi(g, xs))
+        single = np.array([float(eval_psi(f, x)) for x in xs])
+        assert np.all(np.abs(single - psi) <= 2.0 * bound * scale)
 
 
 def test_export_empty_sample_grid(runner, tmp_path):
@@ -442,12 +449,9 @@ def test_non_finite_norm_exits_4(runner, tmp_path, monkeypatch, args):
 
 
 # psi itself is not finite: near the wells at a^2/b = 2846 it overflows (inf for m = 0
-# at x = 17 and 18, and for m = 1 at x = 17), and at x = 1e80 t^N overflows while the
-# weight underflows to 0; exit 0 wrote inf, or NaN, which is not JSON
+# at x = 17 and 18, and for m = 1 at x = 17); exit 0 wrote inf, which is not JSON
 NON_FINITE_SAMPLES = [
     (["--lambda", "-1.2", "--eta", "0.003", "--N", "1", "--format", "csv", "--samples", "16:18:1"], "17.0", "2846.05"),
-    (["--lambda", "0.5", "--eta", "0.03", "--N", "3", "--format", "csv", "--samples", "1e80:1e80:1"], "1e+80", "15.625"),
-    (["--lambda", "0.5", "--eta", "0.03", "--N", "3", "--format", "json", "--samples", "1e80:1e80:1"], "1e+80", "15.625"),
 ]
 
 
@@ -462,6 +466,22 @@ def test_non_finite_samples_exit_4(runner, tmp_path, monkeypatch, args, x, ratio
         f"error: the sample of state m=0 at x = {x} is not finite: psi overflows a double (a^2/b = {ratio})\n"
     )
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings must not reach the user
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_samples_where_the_weight_underflows_are_zero(runner, tmp_path, fmt):
+    # at x = 1e80 t^N overflows and W underflows to 0, and at 1e200 t itself overflows;
+    # psi is 0.0 at both, where exit 4 refused the NaN that t^N W gave
+    out = tmp_path / f"x.{fmt}"
+    args = ["--lambda", "0.5", "--eta", "0.03", "--N", "3", "--format", fmt, "--samples", "1e80:1e200:1e200"]
+    result = runner.invoke(main, ["export", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    if fmt == "json":
+        samples = json.loads(out.read_text())["samples"]
+        assert samples["x"] == [1e80, 1e200] and samples["psi"] == [[0.0, 0.0]] * 4
+    else:
+        assert out.read_text().splitlines()[1:] == ["1e+80,0.0,0.0,0.0,0.0", "1e+200,0.0,0.0,0.0,0.0"]
 
 
 def test_spectrum_counts_no_node_beyond_the_turning_point(runner):

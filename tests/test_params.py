@@ -240,3 +240,17 @@ def test_one_real_root_branch_keeps_every_digit(rng):
 def test_turning_point_where_cardano_cancelled():
     t = turning_point(CouplingParams(7.69, -1.24, 1.84e5), 1e6 + 25)
     assert abs(t - 3.19482279640092603) <= math.ulp(3.19482279640092603)  # the 60-digit root
+
+
+@pytest.mark.parametrize(
+    "omega_sq, lam, eta, energy",
+    [(0.23140, 2.7904, 1.7652e-6, 2.0512e-3), (24.885, -0.018059, 7.0099e-6, 0.018163)],
+)
+def test_turning_point_where_the_shift_cancels(omega_sq, lam, eta, energy):
+    # small E and large lam/eta put the root far below the closed form's shift -b2/3,
+    # which cancelled: 3.4e-2 and 9.0e-10 relative off before Newton's steps
+    t = turning_point(CouplingParams(omega_sq, lam, eta), energy)
+    with mpmath.workdps(60):
+        cubic = [mpmath.mpf(eta) / 3, mpmath.mpf(lam) / 2, mpmath.mpf(omega_sq), -2 * mpmath.mpf(energy)]
+        ref = float(max(r.real for r in mpmath.polyroots(cubic, extraprec=200) if abs(r.imag) < 1e-30 * abs(r)))
+    assert abs(t - ref) <= 4 * math.ulp(ref)

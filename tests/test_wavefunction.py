@@ -1,9 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -28,9 +30,10 @@ from sextic_qes import (
 )
 from sextic_qes.qes_core import QesState, closure_reduced
 from sextic_qes.params import support_half_width
-from sextic_qes.wavefunction import _quadrature, _weight, psi_second_derivative
+from sextic_qes import wavefunction
+from sextic_qes.wavefunction import _basis, _quadrature, psi_second_derivative
 
-from conftest import random_ab, run_python
+from conftest import random_ab, rounding_bound, run_python
 
 
 def reduced(a, b, idx):
@@ -285,7 +288,7 @@ def test_cutoff_bound(lam, log_eta, n, eps):
     r = reduce(solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0])
     edge = support_half_width(r, 2 * n + eps)
     with np.errstate(over="ignore"):  # W is inf there once a^2 > 2836 b, and psi^2 is anyway
-        assert _weight(r, np.array([edge]))[0] > 0.0
+        assert _basis(np.array([edge]), r.a, r.b, 1)[0][0, 0] > 0.0  # W
 
 
 def test_even_odd_inner_product_zero():
@@ -304,6 +307,15 @@ def test_pure_quartic_weight_norm_gamma_form():
     # and against an independent quadrature of the bare integrand
     check, _ = quad(lambda x: math.exp(-0.5 * b * x**4), -np.inf, np.inf)
     assert norm_and_inner(f, f) == pytest.approx(check, rel=1e-9)
+
+
+def _psi_long(f, x):
+    """psi at a float x in long double from f's own floats: a quad integrand whose rounding
+    is far below the kernel's, which a call per point sums in an order of its own."""
+    x, (a, b) = np.longdouble(x), (np.longdouble(v) for v in (f.reduced.a, f.reduced.b))
+    t = x * x
+    poly = npoly.polyval(t, f.state.coeffs.astype(np.longdouble))
+    return float(x**f.state.parity * poly * np.exp(-a * t / 2 - b * t * t / 4))
 
 
 def _ode_certificate(f, xs):
@@ -335,7 +347,7 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
                 if _ode_certificate(f, np.linspace(0.0, cut, 1001)) > 1e-9:
                     continue
                 half, _ = quad(
-                    lambda x: float(eval_psi(f, x)) ** 2, 0.0, 2.0 * cut,
+                    lambda x: _psi_long(f, x) ** 2, 0.0, 2.0 * cut,
                     epsabs=0.0, epsrel=1e-12, limit=500,
                 )
                 assert norm_and_inner(f, f) == pytest.approx(2.0 * half, rel=1e-10)
@@ -365,7 +377,7 @@ def test_trapezoid_norm_resolves_narrow_weights(a, b, n_certified):
                 if _ode_certificate(f, np.linspace(lo, hi, 4001)) > 1e-9:
                     continue
                 half, _ = quad(
-                    lambda x: float(eval_psi(f, x)) ** 2, lo, hi,
+                    lambda x: _psi_long(f, x) ** 2, lo, hi,
                     points=[x_peak] if x_peak > 0.0 else None,
                     epsabs=0.0, epsrel=1e-12, limit=1000,
                 )
@@ -436,12 +448,13 @@ print(count_nodes(Eigenfunction(state=s.states[37], reduced=s.reduced)).count)
 
 
 def test_shared_quadrature_is_read_only_and_bounded():
-    xs, _, h, w = _quadrature(1.25, 0.1, 6)
+    xs, h = _quadrature(1.25, 0.1, 6)
     assert h == xs[-1] / (len(xs) - 1)
-    for arr in (xs, w):
+    basis, _, s, q = _basis(xs, 1.25, 0.1, 4)
+    for arr in (xs, basis, s, q):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    assert xs[0] == 0.0 and w[0] == 1.0
+    assert xs[0] == 0.0 and basis[-1, 0] == 1.0  # W(0)
     maxsize = _quadrature.cache_info().maxsize
     assert isinstance(maxsize, int) and 1 <= maxsize <= 16
 
@@ -472,19 +485,53 @@ def test_equal_blocks_share_their_cache_entries():
     specs = [spectrum(reduce(solve_constraint(idx, lam=0.3, eta=0.05)[0]), idx) for _ in range(2)]
     assert specs[0].reduced == specs[1].reduced and specs[0].reduced is not specs[1].reduced
     _quadrature.cache_clear()
+    held = []  # every call's basis, kept alive so that none is freed and rebuilt at its address
     for s in specs:
         for st in s.states:
             f = Eigenfunction(state=st, reduced=s.reduced)
             norm_and_inner(f, f)
+            held.append(wavefunction._BASIS[1])
     info = _quadrature.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(specs[0].states) - 1)
     assert isinstance(info.maxsize, int) and 1 <= info.maxsize <= 16
+    assert len(held) == 2 * len(specs[0].states) and all(b is held[0] for b in held)  # built once
+
+
+def test_a_mutated_grid_misses_the_cached_basis():
+    # the grid's bytes key the basis, so an array changed in place gets its own
+    funcs, _ = eigenfunctions(0.8, 0.3, 6, 1)
+    xs = np.linspace(-3.0, 3.0, 101)
+    eval_psi(funcs[2], xs)
+    before = wavefunction._BASIS[1]
+    xs *= 1.5
+    psi = eval_psi(funcs[2], xs)
+    assert wavefunction._BASIS[1] is not before
+    wavefunction._BASIS[:] = None, None
+    assert psi.tobytes() == eval_psi(funcs[2], xs.copy()).tobytes()
+
+
+def test_products_run_in_blocks_of_points(monkeypatch):
+    # no basis holds more than _BLOCK doubles; the blocks' sums are within the rounding bound
+    funcs, s = eigenfunctions(-0.7, 0.2, 9, 0)
+    xs = np.linspace(-4.0, 4.0, 103)
+    whole = [eval_psi(f, xs) for f in funcs]
+    built = []
+    inner = wavefunction._basis
+    monkeypatch.setattr(wavefunction, "_BLOCK", 10 * 7)
+    monkeypatch.setattr(wavefunction, "_basis", lambda *args: built.append(inner(*args)[0].size) or inner(*args))
+    scale = rounding_bound(9, 0, s.reduced.a, s.reduced.b, xs)
+    for f, psi in zip(funcs, whole):
+        g = Eigenfunction(state=replace(f.state, coeffs=np.abs(f.state.coeffs)), reduced=f.reduced)
+        abs_psi = eval_psi(g, xs)
+        assert np.all(np.abs(eval_psi(f, xs) - psi) <= 2.0 * scale * abs_psi)
+    assert max(built) <= 10 * 7 and len(built) == 2 * len(funcs) * math.ceil(103 / 7)
 
 
 def test_cached_block_data_is_read_only():
-    xs, t, _, w = _quadrature(-0.6, 0.2, 9)
-    assert np.array_equal(t, xs * xs)
-    for arr in (xs, t, w):
+    xs, _ = _quadrature(-0.6, 0.2, 9)
+    basis, k, s, q = _basis(xs, -0.6, 0.2, 5)
+    assert np.array_equal(basis[-2], basis[-1] * (xs * xs)) and k is None  # t W, no row rescaled
+    for arr in (xs, basis, s, q):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -496,7 +543,7 @@ def test_norm_and_inner_overflows_without_warnings():
     idx = QesIndex(1, 0)
     s = spectrum(reduce(solve_constraint(idx, lam=-1.2, eta=0.003)[0]), idx)
     f = Eigenfunction(state=s.states[0], reduced=s.reduced)
-    _quadrature.cache_clear()  # the weight's overflow happens when the nodes are built
+    wavefunction._BASIS[:] = None, None  # the weight's overflow happens when the basis is built
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(norm_and_inner(f, f))
