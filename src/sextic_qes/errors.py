@@ -6,7 +6,7 @@ class QesError(Exception):
 
 
 class InvalidCouplingError(QesError):
-    """Raised when couplings violate the admissibility conditions (eta > 0)."""
+    """Raised when couplings violate the admissibility conditions (finite, eta > 0)."""
 
 
 class ConstraintViolationError(QesError):

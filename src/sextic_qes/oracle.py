@@ -39,8 +39,8 @@ class GridSpec:
             raise ValueError(f"points must be >= 201, got {self.points}")
         if self.points % 2 == 0:
             raise ValueError(f"points must be odd, got {self.points}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
 
 @dataclass(frozen=True)

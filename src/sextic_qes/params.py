@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -36,8 +35,16 @@ class CouplingParams:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidCouplingError(f"eta must be > 0, got {self.eta}")
+        _check_couplings(self.omega_sq, self.lam, self.eta)
+
+
+def _check_couplings(omega_sq: float | None, lam: float | None, eta: float | None) -> None:
+    """Raise InvalidCouplingError unless every given coupling (not None) is finite and eta > 0."""
+    if bad := [f"{k}={v}" for k, v in (("omega2", omega_sq), ("lambda", lam), ("eta", eta))
+               if v is not None and not math.isfinite(v)]:
+        raise InvalidCouplingError(f"couplings must be finite, got {', '.join(bad)}")
+    if eta is not None and not eta > 0:
+        raise InvalidCouplingError(f"eta must be > 0, got {eta}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def check_constraint(r: ReducedParams, idx: QesIndex) -> None:
     """
     g = constraint_gamma(idx)
     rounding = 8.0 * np.finfo(float).eps * (r.a * r.a + abs(r.omega_sq())) / r.b
-    if abs(r.gamma - g) > max(1e-8 * max(1.0, g), rounding):
+    if not abs(r.gamma - g) <= max(1e-8 * max(1.0, g), rounding):  # a NaN gamma refuses too
         raise ConstraintViolationError(
             f"couplings violate the constraint: gamma={r.gamma:.10g}, "
             f"required {g:g} (N={idx.n_cap}, parity={idx.parity})"
@@ -230,18 +237,14 @@ def solve_constraint(
     unknowns = [name for name, v in (("omega_sq", omega_sq), ("lam", lam), ("eta", eta)) if v is None]
     if len(unknowns) != 1:
         raise ValueError(f"exactly one coupling must be unknown, got {unknowns or 'none'}")
+    _check_couplings(omega_sq, lam, eta)
     g = constraint_gamma(idx)
 
     if omega_sq is None:
         # linear: omega2 = 3*lam^2/(16*eta) - gamma*sqrt(eta/3)
-        if not eta > 0:
-            raise InvalidCouplingError(f"eta must be > 0, got {eta}")
-        w = 3.0 * lam**2 / (16.0 * eta) - g * math.sqrt(eta / 3.0)
-        return [CouplingParams(w, lam, eta)]
+        return [CouplingParams(3.0 * lam**2 / (16.0 * eta) - g * math.sqrt(eta / 3.0), lam, eta)]
 
     if lam is None:
-        if not eta > 0:
-            raise InvalidCouplingError(f"eta must be > 0, got {eta}")
         rhs = 16.0 * eta * (g * math.sqrt(eta / 3.0) + omega_sq) / 3.0
         if rhs < 0:
             raise NoSolutionError(f"no real lam satisfies the constraint (lam^2 = {rhs:.6g} < 0)")
@@ -249,10 +252,6 @@ def solve_constraint(
         return [CouplingParams(omega_sq, l, eta) for l in sorted({root, -root})]
 
     return _solve_eta(omega_sq, lam, g)
-
-
-# eta is settled by bisection from its cell of this log grid (see _bisect_on_grid)
-_ETA_GRID = np.logspace(-12, 12, 2001)
 
 
 def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
@@ -267,7 +266,6 @@ def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
     cancels or overflows however small lam is (Cardano's formula loses every
     digit as lam -> 0 with omega2 < 0).  With lam = 0 the equation is linear:
     u = -g/w, i.e. eta = 3 omega2^2 / g^2, and only when omega2 < 0.
-    Inside [1e-12, 1e12] the root is then settled by _bisect_on_grid.
     """
     c, r, w = 3.0 * math.sqrt(3.0) / 16.0, abs(lam), math.sqrt(3.0) * omega_sq
     if r == 0.0:
@@ -287,40 +285,5 @@ def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
             u -= step
     eta = 1.0 / (u * u) if u * u > 0.0 else math.inf
     if not 0.0 < eta < math.inf:
-        raise NoSolutionError(
-            f"no eta > 0 satisfies the constraint for omega2={omega_sq}, lam={lam}, gamma={g}"
-        )
-    if _ETA_GRID[0] <= eta <= _ETA_GRID[-1]:
-        eta = _bisect_on_grid(omega_sq, lam, g, eta)
+        raise NoSolutionError(f"no eta > 0 satisfies the constraint for omega2={omega_sq}, lam={lam}, gamma={g}")
     return [CouplingParams(omega_sq, lam, eta)]
-
-
-def _bisect_on_grid(omega_sq: float, lam: float, g: float, eta: float) -> float:
-    """The root that bisecting the constraint from its _ETA_GRID bracket gives.
-
-    Near the root the constraint evaluates to rounding noise a few ulp of eta
-    wide, so each solver lands on a different float there.  The spectra's
-    rounding-level certificates (ODE residuals, nodes set by tiny trailing
-    coefficients) move with those ulps, so this keeps the bits the former
-    scan-and-bisect solver returned: the same bracket, then the same steps.
-    """
-
-    def f(e: float) -> float:  # > 0 below the root, < 0 above it
-        return math.sqrt(3.0 / e) * (3.0 * lam**2 / (16.0 * e) - omega_sq) - g
-
-    i = int(np.searchsorted(_ETA_GRID, eta))
-    grid = [float(e) for e in _ETA_GRID[max(i - 2, 0) : i + 2]]
-    vals = [f(e) for e in grid]
-    for (lo, hi), (f_lo, f_hi) in zip(pairwise(grid), pairwise(vals)):
-        if f_lo == 0.0:
-            return lo
-        if f_lo * f_hi < 0.0:
-            # stops once lo and hi are adjacent floats, after which more steps change nothing
-            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-                f_mid = f(mid)
-                if f_lo * f_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            return 0.5 * (lo + hi)
-    return grid[-1] if vals[-1] == 0.0 else eta

@@ -125,7 +125,8 @@ def ode_residual(f: Eigenfunction, energy: float, xs) -> np.ndarray:
     """Pointwise residual psi'' + (2E - V2) psi, V2 from the couplings of f's reduced parameters."""
     xs = np.asarray(xs, dtype=float)
     d2, psi, _ = _evaluate(f, xs, True, False)
-    return d2 + (2.0 * energy - potential_v2(f.reduced.couplings(), xs)) * psi
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN says where V2 or psi overflows
+        return d2 + (2.0 * energy - potential_v2(f.reduced.couplings(), xs)) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,13 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     degree = 2 * max(len(f.state.coeffs), len(g.state.coeffs)) - 2 + f.state.parity  # 2N + eps
     xs, h = _quadrature(rf.a, rf.b, degree)
     psi = _evaluate(f, xs, False)[0]
+    return _trapezoid(h, psi, psi if g is f else _evaluate(g, xs, False)[0])
+
+
+def _trapezoid(h: float, psi: np.ndarray, phi: np.ndarray) -> float:
+    """The trapezoid rule on the nodes [0, L] of spacing h for the even integrand psi phi, doubled."""
     with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
-        y = psi * psi if g is f else psi * _evaluate(g, xs, False)[0]
+        y = psi * phi
         return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
 
 
@@ -197,18 +203,18 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
     the node's t and W: delta_i = (N+1) eps |x_i|^eps (|A| @ B)_i.  Its bound on norm^2,
     2h sum delta_i (2|psi_i| + delta_i), must stay below norm^2/10.
     """
-    n2 = norm_and_inner(f, f)
     r, st = f.reduced, f.state
+    xs, h = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)  # norm_and_inner's nodes
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound that is not finite refuses
+        psi, abs_psi = _evaluate(f, xs, False)
+        n2 = _trapezoid(h, psi, psi)
+        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
+        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
     if not math.isfinite(n2):
         raise SolverError(
             f"the norm of state m={st.label} is not finite: psi^2 overflows a double "
             f"(a^2/b = {r.a * r.a / r.b:.6g})"
         )
-    xs, h = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite refuses too
-        psi, abs_psi = _evaluate(f, xs, False)
-        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
-        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
     if not bound < 0.1 * n2:
         raise SolverError(
             f"the norm of state m={st.label} is not certain to one digit: the rounding bound "

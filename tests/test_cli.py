@@ -390,6 +390,10 @@ BAD_INPUTS = [
     (["constraint", "--omega2", "-100", "--eta", "0.03", "--N", "0"], 4),  # NoSolutionError
     (["spectrum", "--omega2", "0.1", *PAPER_BLOCK], 3),
     (["table", *PAPER_BLOCK, "--out", "missing-dir/x.txt"], 6),
+    (["constraint", "--omega2", "nan", "--lambda", "0.5", "--N", "3"], 2),  # non-finite couplings
+    (["constraint", "--lambda", "0.5", "--eta", "inf", "--N", "3"], 2),
+    (["table", "--lambda", "0.5", "--eta", "0.03", "--omega2", "nan", "--N", "3"], 2),
+    (["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "3", "--half-width", "inf"], 2),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -43,6 +44,22 @@ def test_reduce_rejects_nonpositive_eta():
         CouplingParams(1.0, 1.0, 0.0)
     with pytest.raises(InvalidCouplingError):
         CouplingParams(1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("name, couplings", [
+    ("omega2", (math.nan, 0.5, 0.03)), ("lambda", (0.0625, -math.inf, 0.03)), ("eta", (0.0625, 0.5, math.inf)),
+])
+def test_non_finite_couplings_are_refused(name, couplings):
+    with pytest.raises(InvalidCouplingError, match=f"must be finite, got {name}="):
+        CouplingParams(*couplings)
+    given = dict(zip(("omega_sq", "lam", "eta"), couplings))
+    for unknown in (k for k, v in given.items() if math.isfinite(v)):  # the non-finite one is given
+        with pytest.raises(InvalidCouplingError, match=f"got {name}="):
+            solve_constraint(QesIndex(3, 0), **{**given, unknown: None})
+    # a NaN gamma fails the constraint check, whatever made it
+    r = reduce(CouplingParams(0.0625, 0.5, 0.03))
+    with pytest.raises(ConstraintViolationError):
+        check_constraint(replace(r, gamma=math.nan), QesIndex(3, 0))
 
 
 def test_constraint_gamma_values():
@@ -122,40 +139,35 @@ def test_solve_eta_lambda_zero(omega_sq):
     assert reduce(p).gamma == pytest.approx(13.0, rel=1e-14)
 
 
-def _scan_and_bisect_eta(omega_sq, lam, g):
-    """The former eta solver: sign changes on a log grid, 200 bisection steps each."""
+def _mp_eta_root(omega_sq, lam, g, eta_start):
+    """The root eta* of the constraint at 60 digits for these float couplings, and its condition kappa.
 
-    def f(eta):
-        return math.sqrt(3.0 / eta) * (3.0 * lam**2 / (16.0 * eta) - omega_sq) - g
-
-    grid = np.logspace(-12, 12, 2001)
-    vals = [f(e) for e in grid]
-    roots = [float(e) for e, v in zip(grid, vals) if v == 0.0]
-    for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:]):
-        if v0 * v1 < 0:
-            lo, hi = float(lo), float(hi)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f(lo) * f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
-    return sorted(roots)
+    F(u) = c r^2 u^3 - w u - g with u = eta^(-1/2), r = |lam|, c = 3 sqrt(3)/16, w = sqrt(3) omega2;
+    kappa = (c r^2 u^3 + |w| u + g) / (u |F'(u)|) at the root.
+    """
+    with mpmath.workdps(60):
+        c, r = 3 * mpmath.sqrt(3) / 16, mpmath.mpf(abs(lam))
+        w, g = mpmath.sqrt(3) * mpmath.mpf(omega_sq), mpmath.mpf(g)
+        u = 1 / mpmath.sqrt(mpmath.mpf(eta_start))
+        for _ in range(40):  # F is convex on u > 0 and u starts near its one positive root
+            u -= (c * r * r * u**3 - w * u - g) / (3 * c * r * r * u * u - w)
+        kappa = (c * r * r * u**3 + abs(w) * u + g) / (u * abs(3 * c * r * r * u * u - w))
+        return 1 / (u * u), kappa
 
 
-def test_solve_eta_keeps_former_bits(rng):
-    # near the root the constraint is rounding noise a few ulp wide; inside the
-    # former grid's range the solve returns exactly the float it used to
-    grid = np.logspace(-12, 12, 2001)
-    for k in range(60):
-        idx = QesIndex(int(rng.integers(0, 13)), int(rng.integers(0, 2)))
-        eta = grid[rng.integers(1, 2000)] if k % 4 == 0 else 10.0 ** rng.uniform(-11.9, 11.9)
-        lam = rng.uniform(-3.0, 3.0) * eta ** rng.choice([0.0, 0.5, 0.75, 1.0])
+def test_solve_eta_is_within_its_condition_of_the_mpmath_root(rng):
+    # Newton's last steps are rounding noise: F(u) is formed to within eps of its terms'
+    # magnitudes, which moves u by eps kappa u, so eta = u^-2 is within 2 eps (1 + kappa) eta*
+    eps = np.finfo(float).eps
+    for k in range(400):
+        idx = QesIndex(int(rng.integers(0, 101)), k % 2)
+        eta = (1e-12, 1e12)[k // 10] if k < 20 else 10.0 ** rng.uniform(-12.0, 12.0)  # the ends, then inside
+        scale = (None, 0.0, 0.5, 0.75, 1.0)[k // 2 % 5]  # lam = 0, or lam ~ eta^scale
+        lam = 0.0 if scale is None else rng.uniform(-3.0, 3.0) * eta**scale
         omega_sq = solve_constraint(idx, lam=lam, eta=eta)[0].omega_sq
-        expect = _scan_and_bisect_eta(omega_sq, lam, constraint_gamma(idx))
-        got = [p.eta for p in solve_constraint(idx, omega_sq=omega_sq, lam=lam)]
-        assert got == expect
+        (p,) = solve_constraint(idx, omega_sq=omega_sq, lam=lam)
+        eta_ref, kappa = _mp_eta_root(omega_sq, lam, constraint_gamma(idx), eta)
+        assert abs(p.eta - eta_ref) <= 2 * eps * (1 + kappa) * eta_ref, (idx, omega_sq, lam)
 
 
 @pytest.mark.parametrize("lam", [1e-20, 1e-60, -1e-200])

@@ -29,7 +29,7 @@ from sextic_qes import (
     spectrum_closed_form,
 )
 from sextic_qes.qes_core import QesState, closure_reduced
-from sextic_qes.params import support_half_width
+from sextic_qes.params import potential_v2, support_half_width
 from sextic_qes import wavefunction
 from sextic_qes.wavefunction import _basis, _quadrature, psi_second_derivative
 
@@ -407,6 +407,18 @@ def test_weight_mismatch_rejected():
         norm_and_inner(f1[0], f2[0])
 
 
+def test_a_certified_norm_is_one_product_with_norm_and_inners_bits(monkeypatch):
+    # the norm and its rounding bound come from one [A, |A|] @ B product on the nodes
+    idx = QesIndex(20, 1)
+    s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
+    funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states[:12]]  # certain to one digit
+    expect = [norm_and_inner(f, f) for f in funcs]
+    calls, products = [], wavefunction._products
+    monkeypatch.setattr(wavefunction, "_products", lambda *args: calls.append(1) or products(*args))
+    assert [wavefunction._finite_norm_sq(f) for f in funcs] == expect
+    assert len(calls) == len(funcs)
+
+
 def test_normalized_eigenfunction_evaluates_normalized():
     # lambda = 0.5, eta = 0.03, N = 3: <f, f> = 2.64 at m = 1 before scaling
     idx = QesIndex(3, 0)
@@ -547,6 +559,23 @@ def test_norm_and_inner_overflows_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(norm_and_inner(f, f))
+
+
+@pytest.mark.parametrize("lam, eta, n, xs", [
+    (-1.2, 0.003, 1, [16.0, 17.0, 18.0]),  # a = -9.5, a^2/b = 2846: psi overflows near the wells
+    (0.5, 0.03, 3, [1e80, 1e200]),  # the paper block: W underflows to 0 where V2 overflows
+])
+def test_ode_residual_overflows_without_warnings(lam, eta, n, xs):
+    # the repo's error::RuntimeWarning filter fails this test on any overflow warning
+    idx = QesIndex(n, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+    f, e = Eigenfunction(state=s.states[0], reduced=s.reduced), s.states[0].energy
+    res = ode_residual(f, e, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2 = potential_v2(s.reduced.couplings(), np.asarray(xs))
+        expect = psi_second_derivative(f, xs) + (2.0 * e - v2) * eval_psi(f, xs)
+    np.testing.assert_array_equal(res, expect)  # bit for bit, NaN where it is NaN
+    assert not np.isfinite(res).any()
 
 
 def test_normalized_raises_where_the_norm_overflows():
