@@ -35,7 +35,6 @@ _EXIT_CODES = (
     (QesError, 4),  # solver failures
     (OSError, 6),
 )
-EXIT_VERIFY = 5
 
 _EPS = {"even": 0, "odd": 1}
 
@@ -68,10 +67,8 @@ def _options(*options):
 _BLOCK = (_omega2, _lam, _eta, _n_cap, _parity)
 
 
-def _solve_block(
-    omega2, lam, eta, n_cap: int, parity: str, enforce: bool = True
-) -> tuple[CouplingParams, qes_core.QesSpectrum, bool]:
-    """Couplings satisfying the constraint (unless not enforce), and their spectrum.
+def _solve_block(omega2, lam, eta, n_cap: int, parity: str) -> tuple[CouplingParams, qes_core.QesSpectrum, bool]:
+    """Couplings satisfying the constraint (ConstraintViolationError otherwise), and their spectrum.
 
     Only the linear omega2 case is auto-solved; solving for lam or eta is the
     business of the `constraint` command.  Returns (couplings, spectrum, was_solved).
@@ -86,7 +83,7 @@ def _solve_block(
     else:
         p = CouplingParams(omega2, lam, eta)
     r = params_mod.reduce(p)
-    if enforce and not solved:
+    if not solved:
         params_mod.check_constraint(r, idx)
     return p, qes_core.spectrum(r, idx), solved
 
@@ -204,19 +201,14 @@ def main():
 
 
 @main.command("table")
-@_options(*_BLOCK)
-@click.option(
-    "--paper-caption-omega",
-    is_flag=True,
-    help="Accept an omega2 that violates the constraint (coefficients depend only on a, b).",
-)
-@_options(_format(["human", "csv", "json"], "human"), _out())
-def cmd_table(omega2, lam, eta, n_cap, parity, paper_caption_omega, fmt, out):
+@_options(*_BLOCK, _format(["human", "csv", "json"], "human"), _out())
+def cmd_table(omega2, lam, eta, n_cap, parity, fmt, out):
     """Print the coefficient/eigenvalue table for one (N, parity) block."""
-    p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity, not paper_caption_omega)
-    if paper_caption_omega:
-        click.echo("note: constraint not enforced; table uses the closure values of (c, gamma)", err=True)
-    elif solved:
+    p, spec, solved = _solve_block(omega2, lam, eta, n_cap, parity)
+    for st in spec.states:  # spectrum and export refuse them at the norm
+        if not np.isfinite(st.coeffs).all():
+            raise SolverError(f"the coefficients A_n of state m={st.label} overflow a double (A_0 = 1)")
+    if solved:
         click.echo(f"note: omega2 solved from the constraint: {p.omega_sq:.10g}", err=True)
 
     if fmt == "human":
@@ -305,11 +297,16 @@ def cmd_export(omega2, lam, eta, n_cap, parity, fmt, samples, out):
 def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
     """Check every exact level against the sinc-collocation spectrum."""
     p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity)
-    if half_width is not None:
-        grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
-    else:
-        e_max = max(st.energy for st in spec.states)
+    e_max = max(st.energy for st in spec.states)
+    if half_width is None:
         grid = oracle_mod.default_grid(p, e_max, points=grid_points)
+    else:
+        grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
+        if not (v := params_mod.potential_v2(p, half_width) / 2.0) >= e_max + 25.0:
+            raise ValueError(
+                f"--half-width {half_width:g} is inside the turning point at E_max + 25 = {e_max + 25.0:.4f} "
+                f"(V(L) = {v:.4f}); the default box is L = {oracle_mod.default_grid(p, e_max).half_width:.4f}"
+            )
     report = oracle_mod.verify_qes(spec, p, grid)
     n_ok = sum(m.converged for m in report.matches)
     click.echo(f"{n_ok}/{len(report.matches)} matched, max err {report.max_abs_error:.3e}")
@@ -324,7 +321,9 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
             f"err={m.abs_error:.3e}  {flag}"
         )
     if not report.all_matched:
-        sys.exit(EXIT_VERIFY)  # the report above names the mismatched levels
+        bad = [str(st.label) for st, m in zip(spec.states, report.matches) if not m.converged]
+        raise VerificationError(f"{len(bad)} of {len(spec.states)} levels miss the oracle's by more than "
+                                f"{oracle_mod.MATCH_TOL:g}: m={', '.join(bad)}")
 
 
 def _parse_scan(spec: str) -> tuple[str, np.ndarray]:

@@ -155,17 +155,17 @@ def lowest_eigenvalues(p: CouplingParams, k: int, grid: GridSpec, parity: int) -
 def verify_qes(
     s: QesSpectrum, p: CouplingParams, grid: GridSpec | None = None
 ) -> OracleReport:
-    """Confirm exact level m is the m-th numerical level of its parity.
+    """Confirm exact level m is the m-th numerical level of its parity, on the box of grid.
 
-    Raises ConstraintViolationError when p does not satisfy the coupling
-    constraint for s.index, and VerificationError when an exact level has no
-    numerical counterpart at all (beyond grid tolerance by orders of magnitude).
+    grid=None takes default_grid at the top exact level.  Raises
+    ConstraintViolationError when p does not satisfy the coupling constraint
+    for s.index, and VerificationError when an exact level has no numerical
+    counterpart at all (beyond grid tolerance by orders of magnitude).
     """
     check_constraint(reduce(p), s.index)
     exact = np.array([st.energy for st in s.states])
-    e_max = float(exact.max())
-    if grid is None or potential_v2(p, grid.half_width) < 2.0 * (e_max + 25.0):
-        grid = default_grid(p, e_max, points=grid.points if grid else GridSpec.points)
+    if grid is None:
+        grid = default_grid(p, float(exact.max()))
 
     levels, estimate, points = lowest_eigenvalues_detail(p, len(exact), grid, s.index.parity)
     # state m has 2m + eps nodes, so it is the oracle's level m of its parity

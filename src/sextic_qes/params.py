@@ -88,13 +88,30 @@ class QesIndex:
 
 
 def reduce(p: CouplingParams) -> ReducedParams:
-    """Map physical couplings to the reduced quantities (a, b, c, gamma)."""
+    """Map physical couplings to the reduced quantities (a, b, c, gamma).
+
+    InvalidCouplingError where one of them overflows a double."""
     s = math.sqrt(3.0 / p.eta)
     a = 0.25 * p.lam * s
     b = math.sqrt(p.eta / 3.0)
-    c = p.omega_sq + math.sqrt(3.0 * p.eta) - 3.0 * p.lam**2 / (16.0 * p.eta)
-    gamma = s * (3.0 * p.lam**2 / (16.0 * p.eta) - p.omega_sq)
+    q = 3.0 * _square(p.lam) / (16.0 * p.eta)
+    c = p.omega_sq + math.sqrt(3.0 * p.eta) - q
+    gamma = s * (q - p.omega_sq)
+    if not (math.isfinite(a) and math.isfinite(c) and math.isfinite(gamma)):
+        raise _out_of_range(p, f"a={a:.6g}, c={c:.6g}, gamma={gamma:.6g} overflow a double")
     return ReducedParams(a=a, b=b, c=c, gamma=gamma)
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where that overflows: Python's float ** raises there, where * rounds to inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _out_of_range(p: CouplingParams, why: str) -> InvalidCouplingError:
+    return InvalidCouplingError(f"couplings out of range: omega2={p.omega_sq}, lambda={p.lam}, eta={p.eta}: {why}")
 
 
 def constraint_gamma(idx: QesIndex) -> float:
@@ -147,9 +164,13 @@ def turning_point(p: CouplingParams, energy: float) -> float:
     """t = x^2 of the outer turning point: the largest root of V2 = 2E, a cubic in t (0 if none).
 
     Newton's steps on V2 - 2E polish the closed form's root while they shrink: its shift
-    -b2/3 cancels where t << |b2| (small E, large lam/eta)."""
+    -b2/3 cancels where t << |b2| (small E, large lam/eta).  InvalidCouplingError where
+    the closed form fails in doubles or the steps cross t = 0."""
     b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
-    t, step = max(0.0, *_cubic_real_roots(b2, b1, b0)), math.inf
+    try:
+        t, step = max(0.0, *_cubic_real_roots(b2, b1, b0)), math.inf
+    except (OverflowError, ValueError):  # float ** overflows; rounding puts sqrt's argument below 0
+        t, step = math.nan, math.inf
     for _ in range(60):
         slope = p.omega_sq + t * (p.lam + t * p.eta)
         gap = t * (p.omega_sq + t * (0.5 * p.lam + t * p.eta / 3.0)) - 2.0 * energy
@@ -157,6 +178,8 @@ def turning_point(p: CouplingParams, energy: float) -> float:
         if not abs(new) < abs(step):
             break
         t, step = t - new, new
+    if not 0.0 <= t < math.inf:  # seen with E at a well's bottom, where the root is double
+        raise _out_of_range(p, f"the turning point at E={energy:.6g} is not resolved in double precision")
     return t
 
 
@@ -167,23 +190,34 @@ def support_half_width(r: ReducedParams, degree: float) -> float:
     In t = x^2 the log of the envelope, f(t) = (degree/2) ln t - a t/2 - b t^2/4,
     is concave, so Newton's method started right of the crossing
     f(t) = f(t_peak) + ln SUPPORT_TOL decreases monotonically onto it.
+    InvalidCouplingError where it cannot: e^f(t_peak) overflows, or the
+    crossing is below the rounding of the start t = 1 (a >~ 1e17).
     """
     a, b, d = r.a, r.b, degree
 
     def f(t: float) -> float:
         return (0.5 * d * math.log(t) if d else 0.0) - 0.5 * a * t - 0.25 * b * t * t
 
-    t_peak = (-a + math.sqrt(a * a + 4.0 * b * d)) / (2.0 * b)
+    s = math.sqrt(a * a + 4.0 * b * d)
+    t_peak = (s - a) / (2.0 * b)
+    if t_peak == 0.0 and d:  # a >> bd cancels that form to 0
+        t_peak = 2.0 * d / (a + s)
     target = (f(t_peak) if t_peak > 0.0 else 0.0) + math.log(SUPPORT_TOL)
     t = max(2.0 * t_peak, 1.0)
     while f(t) > target:
         t *= 2.0
-    for _ in range(100):
+    # far right of the crossing a step halves t at least, so 2,200 steps span the doubles
+    for _ in range(2200 if math.isfinite(target) else 0):  # else e^f(t_peak) overflows
         step = (f(t) - target) / (0.5 * d / t - 0.5 * a - 0.5 * b * t)
         if not step > 0.0 or t - step == t:
+            return math.sqrt(t)
+        if not t - step > 0.0:  # the crossing is below the rounding of t
             break
         t -= step
-    return math.sqrt(t)
+    raise InvalidCouplingError(
+        f"couplings out of range: psi's support at lambda={r.lam:.6g}, eta={r.eta:.6g} (a={a:.6g}, b={b:.6g}) "
+        "is not resolved in double precision"
+    )
 
 
 def solve_cubic_trig(p: float, q: float) -> np.ndarray:
@@ -232,7 +266,8 @@ def solve_constraint(
 
     Exactly one of omega_sq, lam, eta must be None.  Returns all admissible
     solutions (one for omega2, up to two for lam, at most one for eta),
-    sorted by the solved value.
+    sorted by the solved value.  InvalidCouplingError where the solve
+    overflows a double.
     """
     unknowns = [name for name, v in (("omega_sq", omega_sq), ("lam", lam), ("eta", eta)) if v is None]
     if len(unknowns) != 1:
@@ -242,10 +277,18 @@ def solve_constraint(
 
     if omega_sq is None:
         # linear: omega2 = 3*lam^2/(16*eta) - gamma*sqrt(eta/3)
-        return [CouplingParams(3.0 * lam**2 / (16.0 * eta) - g * math.sqrt(eta / 3.0), lam, eta)]
+        w = 3.0 * _square(lam) / (16.0 * eta) - g * math.sqrt(eta / 3.0)
+        if not math.isfinite(w):
+            raise InvalidCouplingError(
+                f"the omega2 solved from lambda={lam}, eta={eta} is not finite: "
+                "3 lambda^2/(16 eta) overflows a double"
+            )
+        return [CouplingParams(w, lam, eta)]
 
     if lam is None:
         rhs = 16.0 * eta * (g * math.sqrt(eta / 3.0) + omega_sq) / 3.0
+        if rhs == math.inf:
+            raise InvalidCouplingError(f"the lambda solved from omega2={omega_sq}, eta={eta} is not finite")
         if rhs < 0:
             raise NoSolutionError(f"no real lam satisfies the constraint (lam^2 = {rhs:.6g} < 0)")
         root = math.sqrt(rhs)
@@ -280,6 +323,11 @@ def _solve_eta(omega_sq: float, lam: float, g: float) -> list[CouplingParams]:
         for _ in range(100):
             ru = r * u
             step = (c * ru * ru * u - w * u - g) / (3.0 * c * ru * ru - w)
+            if not math.isfinite(step):  # F' > 0 on the way, so c (ru)^2 u has overflowed
+                raise InvalidCouplingError(
+                    f"couplings out of range: solving for eta at omega2={omega_sq}, lambda={lam} "
+                    "overflows a double"
+                )
             if not step > 0.0 or u - step == u:
                 break
             u -= step

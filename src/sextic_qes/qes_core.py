@@ -181,7 +181,8 @@ def _coefficients(m: RecurrenceMatrix, theta: np.ndarray, refine: bool) -> np.nd
         if moved.any():
             ratios[:, moved] = _twisted_ratios(tw, shifted[moved], norm)[0]
     coeffs = np.ones((len(theta), m.dim))
-    np.cumprod(ratios.T, axis=1, out=coeffs[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an A_n that overflows a double is not finite
+        np.cumprod(ratios.T, axis=1, out=coeffs[:, 1:])
     return coeffs
 
 

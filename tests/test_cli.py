@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sextic_qes import (
     Eigenfunction,
@@ -73,15 +75,16 @@ def test_table_constraint_violation_exit_code(runner):
     assert "constraint" in result.stderr
 
 
-def test_table_paper_caption_omega(runner):
-    # caption's omega2 accepted without enforcement; coefficients unchanged
-    result = runner.invoke(
-        main,
-        ["table", "--omega2", "0.0625", "--lambda", "0.5", "--eta", "0.03", "--N", "3",
-         "--parity", "odd", "--paper-caption-omega"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == (GOLDEN / "table2.txt").read_text()
+def test_table_caption_omega_exits_3(runner):
+    # the odd table's caption gives omega2 = 0.0625, off the gamma = 17 constraint; the table
+    # depends on (a, b) alone and prints with --omega2 omitted (test_table2_golden_bytes)
+    result = runner.invoke(main, [*TABLE2_ARGS, "--omega2", "0.0625"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: couplings violate the constraint: gamma=15, required 17 (N=3, parity=1)\n"
+    result = runner.invoke(main, [*TABLE2_ARGS, "--omega2", "0.0625", "--paper-caption-omega"])
+    assert result.exit_code == 2
+    assert "No such option '--paper-caption-omega'" in result.stderr
 
 
 def test_table_json_roundtrip(runner):
@@ -267,6 +270,18 @@ def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
     assert lines[0].startswith("16/17 matched")
     assert lines[1].startswith("  box L=5.422900, ")
     assert [line.endswith("MISMATCH") for line in lines[2:]] == [False] * 16 + [True]
+    assert result.stderr == "error: 1 of 17 levels miss the oracle's by more than 1e-05: m=16\n"
+
+
+def test_verify_command_refuses_a_box_inside_the_turning_point(runner):
+    # V(3) = 14.05 < E_max + 25 = 34.10; this box used to be replaced by the default, L = 6.8065
+    result = runner.invoke(main, ["verify", *PAPER_BLOCK, "--half-width", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: --half-width 3 is inside the turning point at E_max + 25 = 34.1020 (V(L) = 14.0512); "
+        "the default box is L = 6.8065\n"
+    )
 
 
 def test_verify_command_estimate_follows_the_matched_levels(runner):
@@ -394,6 +409,19 @@ BAD_INPUTS = [
     (["constraint", "--lambda", "0.5", "--eta", "inf", "--N", "3"], 2),
     (["table", "--lambda", "0.5", "--eta", "0.03", "--omega2", "nan", "--N", "3"], 2),
     (["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "3", "--half-width", "inf"], 2),
+    # finite couplings out of range: 3 lambda^2/(16 eta), a, c, gamma, the turning point or psi's support overflow
+    (["constraint", "--lambda", "1e200", "--eta", "1", "--N", "3"], 2),
+    (["constraint", "--omega2", "1", "--lambda", "1e200", "--N", "3"], 2),
+    (["spectrum", "--lambda", "1e200", "--eta", "1", "--N", "3"], 2),
+    (["table", "--lambda", "1e160", "--eta", "1e-300", "--N", "1"], 2),
+    (["export", "--lambda", "1e160", "--eta", "1e-300", "--N", "1", "--out", "x.json"], 2),
+    (["verify", "--lambda", "1e100", "--eta", "1", "--N", "1"], 2),
+    (["spectrum", "--lambda", "1e100", "--eta", "1", "--N", "1"], 2),
+    (["constraint", "--omega2", "1e307", "--lambda", "1", "--N", "0"], 2),  # printed eta 2x off and a=inf
+    (["constraint", "--omega2", "2.132123508032441e+167", "--lambda", "4.647042669279346e-57", "--N", "3"], 2),
+    (["table", "--lambda", "1e16", "--eta", "1e-211", "--N", "3"], 4),  # A_3 overflows; it printed inf
+    (["verify", "--lambda", "-2.43133043259748e+138", "--eta", "3.2070638689951074e+164", "--N", "0"], 2),
+    (["verify", "--lambda", "1.6649588098878914e+62", "--eta", "38103791393.39117", "--N", "0"], 2),
 ]
 
 
@@ -403,10 +431,11 @@ def test_bad_input_exits_with_its_code(runner, tmp_path, monkeypatch, args, code
     result = runner.invoke(main, args)
     assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)  # nothing escaped as a traceback
-    assert "Traceback" not in result.stderr
+    for text in ("Traceback", "math domain error", "Numerical result out of range"):
+        assert text not in result.stderr
     errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
     assert len(errors) == 1
-    assert not (tmp_path / "x.csv").exists()
+    assert not list(tmp_path.iterdir())  # no file written
 
 
 @pytest.mark.parametrize("command", ["spectrum", "export"])
@@ -633,3 +662,88 @@ def test_outputs_carry_library_values(runner, tmp_path, lam, eta, n, parity):
     assert [[float(r[f"A{i}"]) for i in range(1, n + 1)] + [float(r["E"])] for r in table] == [
         e["coefficients"][1:] + [e["energy"]] for e in expect
     ]
+
+
+def test_scan_records_couplings_out_of_range_in_its_error_column(runner):
+    result = runner.invoke(main, ["scan", "--scan", "lambda=1e200:1e200:1", "--eta", "1", "--N", "1"])
+    assert result.exit_code == 0
+    row = list(csv.reader(result.stdout.splitlines()))[1]
+    assert row[:5] == ["1e+200", "1.0", "", "", ""]
+    assert row[5].startswith("the omega2 solved from lambda=1e+200, eta=1.0 is not finite")
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["spectrum", "--lambda", "1", "--eta", "1e-310", "--N", "1"], "the omega2 solved from lambda=1.0, eta=1e-310"),
+        (["spectrum", "--lambda", "-1e150", "--eta", "1e-10", "--N", "2"],
+         "the omega2 solved from lambda=-1e+150, eta=1e-10"),
+        (["constraint", "--omega2", "1e300", "--eta", "1e10", "--N", "0"],
+         "the lambda solved from omega2=1e+300, eta=10000000000.0"),
+    ],
+)
+def test_a_solved_coupling_that_is_not_finite_is_named_as_solved(runner, args, line):
+    # the refusal used to read "couplings must be finite, got omega2=inf", a coupling never given
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {line} is not finite")
+
+
+def _finite_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _exits_as_documented(result) -> bool:
+    """True on exit 0; otherwise the exit is a documented failure that ends in one error line."""
+    if result.exit_code == 0:
+        return True
+    assert result.exit_code in (2, 3, 4, 5), result.output
+    assert result.stderr.splitlines()[-1].startswith("error:")
+    for text in ("Traceback", "math domain error", "Numerical result out of range"):
+        assert text not in result.stderr
+    return False
+
+
+_EXPONENT = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), _EXPONENT)),
+    eta=st.builds(lambda e: 10.0**e, _EXPONENT),
+    n_cap=st.integers(0, 3),
+    parity=st.sampled_from(["even", "odd"]),
+)
+@example(lam=1e200, eta=1.0, n_cap=3, parity="even")  # each of these ended in a traceback
+@example(lam=1e160, eta=1e-300, n_cap=1, parity="even")
+@example(lam=1e100, eta=1.0, n_cap=1, parity="even")
+@example(lam=-1e150, eta=1e-10, n_cap=2, parity="even")
+@example(lam=1e16, eta=1e-211, n_cap=3, parity="even")  # A_3 overflows
+def test_every_command_gives_a_finite_result_or_a_documented_error(tmp_path_factory, lam, eta, n_cap, parity):
+    runner, out = CliRunner(), tmp_path_factory.mktemp("contract") / "spec.json"
+    block = ["--lambda", repr(lam), "--eta", repr(eta), "--N", str(n_cap), "--parity", parity]
+
+    result = runner.invoke(main, ["table", *block])
+    if _exits_as_documented(result):
+        assert all(math.isfinite(float(v)) for line in result.stdout.splitlines()[1:] for v in line.split())
+    result = runner.invoke(main, ["spectrum", *block, "--format", "json"])
+    if _exits_as_documented(result):
+        _finite_json(result.stdout)
+    if _exits_as_documented(runner.invoke(main, ["export", *block, "--out", str(out)])):
+        _finite_json(out.read_text())
+    _exits_as_documented(runner.invoke(main, ["verify", *block, "--grid-points", "201"]))
+
+    result = runner.invoke(main, ["constraint", *block])  # solves for omega2
+    if _exits_as_documented(result):
+        omega2 = solve_constraint(QesIndex(n_cap, parity == "odd"), lam=lam, eta=eta)[0].omega_sq
+        result = runner.invoke(main, ["constraint", "--omega2", repr(omega2), *block[:2], *block[4:]])
+        if _exits_as_documented(result):  # solves for eta
+            assert all(math.isfinite(float(v.split("=")[1])) for v in result.stdout.split())
+
+    result = runner.invoke(main, ["scan", "--scan", f"lambda={lam!r}:{lam!r}:1", *block[2:]])
+    assert result.exit_code == 0
+    row = list(csv.reader(result.stdout.splitlines()))[1]
+    assert row[-1] or all(math.isfinite(float(v)) for v in row[:-1])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,6 +11,7 @@ from sextic_qes import (
     ConstraintViolationError,
     CouplingParams,
     GridSpec,
+    InvalidCouplingError,
     QesIndex,
     ReducedParams,
     VerificationError,
@@ -60,6 +62,29 @@ def test_support_half_width_is_the_outer_1e16_point(a, b, degree):
     width = support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)
     assert log_env(width) == pytest.approx(target, abs=1e-6)
     assert log_env(1.001 * width) < target < log_env(0.999 * width)
+
+
+@pytest.mark.parametrize("a, b, degree", [(1e12, 1e-30, 1), (1e15, 1e-200, 3), (0.0, 1e100, 0), (0.0, 1e100, 5)])
+def test_support_half_width_at_extreme_scales(a, b, degree):
+    # a >> b degree cancels the peak, (sqrt(a^2 + 4 b degree) - a)/(2b) in t = x^2, to 0; at
+    # b = 1e100 the 1e-16 point lies ~160 of Newton's steps below its start t = 1
+    a_mp, b_mp = mpmath.mpf(a), mpmath.mpf(b)
+
+    def log_env(t):
+        return degree / 2 * mpmath.log(t) - a_mp * t / 2 - b_mp * t * t / 4
+
+    peak = log_env(2 * degree / (a_mp + mpmath.sqrt(a_mp**2 + 4 * b_mp * degree))) if degree else 0
+    target = peak + mpmath.log(1e-16)
+    t = mpmath.mpf(support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)) ** 2
+    assert abs(log_env(t) - target) <= 1e-9 * abs(target)
+    assert log_env(1.001 * t) < target < log_env(0.999 * t)
+
+
+@pytest.mark.parametrize("a, b, degree", [(-8.8e112, 3.7e-133, 1), (4.3e99, 5.8e-151, 3)])
+def test_support_half_width_refuses_what_doubles_cannot_resolve(a, b, degree):
+    # e^f at the peak t = -a/b overflows, or the crossing lies below the rounding of the start t = 1
+    with pytest.raises(InvalidCouplingError, match="psi's support .* is not resolved in double precision"):
+        support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)
 
 
 def test_harmonic_limit():
@@ -168,6 +193,18 @@ def test_report_carries_convergence_and_box():
     assert report.eigenvalues == lowest_eigenvalues(TABLE1, k, grid, parity=0).tolist()
     for m in report.matches:
         assert m.oracle_energy in report.eigenvalues  # the finest grid's level
+
+
+def test_verify_uses_the_box_it_is_given():
+    # V(3) = 19.45 < E_max + 25 = 25.63: this box used to be replaced by default_grid's L = 6.3353
+    idx = QesIndex(0, 0)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    s = spectrum(reduce(p), idx)
+    grid = GridSpec(3.0)
+    assert potential_v2(p, grid.half_width) / 2.0 < s.states[0].energy + 25.0
+    report = verify_qes(s, p, grid)
+    assert report.half_width == 3.0
+    assert report.eigenvalues == lowest_eigenvalues(p, 1, grid, parity=0).tolist()
 
 
 def _former_sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> np.ndarray:
