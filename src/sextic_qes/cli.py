@@ -298,15 +298,12 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
     """Check every exact level against the sinc-collocation spectrum."""
     p, spec, _ = _solve_block(omega2, lam, eta, n_cap, parity)
     e_max = max(st.energy for st in spec.states)
-    if half_width is None:
-        grid = oracle_mod.default_grid(p, e_max, points=grid_points)
-    else:
+    grid = oracle_mod.default_grid(p, e_max, points=grid_points)
+    if half_width is not None:
+        if not (x_t := math.sqrt(params_mod.turning_point(p, e_max))) <= half_width:
+            raise ValueError(f"--half-width {half_width:g} is inside the top state's turning point x_t = {x_t:.4f}; "
+                             f"the default box is L = {grid.half_width:.4f}")
         grid = oracle_mod.GridSpec(half_width=half_width, points=grid_points)
-        if not (v := params_mod.potential_v2(p, half_width) / 2.0) >= e_max + 25.0:
-            raise ValueError(
-                f"--half-width {half_width:g} is inside the turning point at E_max + 25 = {e_max + 25.0:.4f} "
-                f"(V(L) = {v:.4f}); the default box is L = {oracle_mod.default_grid(p, e_max).half_width:.4f}"
-            )
     report = oracle_mod.verify_qes(spec, p, grid)
     n_ok = sum(m.converged for m in report.matches)
     click.echo(f"{n_ok}/{len(report.matches)} matched, max err {report.max_abs_error:.3e}")

@@ -5,8 +5,8 @@ collocation on x_j = j h, |j| <= n, h = L/n (Weideman & Reddy, ACM TOMS 26,
 2000), reduced by parity to the half line j = 0..n and solved densely.  The
 eigenfunctions are entire and decay like exp(-b x^4/4), so the levels converge
 exponentially in n (Trefethen & Weideman, SIAM Rev. 56, 2014); the grid grows
-until two sizes agree.  The box [-L, L] is sized by the degree of the
-polynomial prefactor, so even the top state of a block has decayed there.
+until two sizes agree.  The box [-L, L] is params.psi_half_width at the top
+exact level, where even the top state of a block has decayed to 1e-16.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VerificationError
-from .params import CouplingParams, check_constraint, potential_v2, reduce
-from .params import support_half_width, turning_point, well_bottom
+from .params import CouplingParams, check_constraint, potential_v2, psi_half_width, reduce, well_bottom
 from .qes_core import QesSpectrum
 
 MATCH_TOL = 1e-5       # agreement target; the solve itself converges to ~1e-12
 _UNMATCHED_TOL = 1e-2  # beyond this the oracle's level m is not QES level m at all
-_SUPPORT_MARGIN = 1.2  # the top states from N ~ 80 need more than the 1e-16 width
 _CONVERGED = 1e-9      # |E(1.25 n) - E(n)| / max(1, |E|) that ends the refinement
 
 
@@ -72,16 +70,8 @@ class OracleReport:
 
 
 def default_grid(p: CouplingParams, e_max: float, points: int = 2001) -> GridSpec:
-    """Box holding the classically allowed region and the top state's tail.
-
-    L is the larger of the turning point at e_max + 25, where V(L) = e_max + 25,
-    and 1.2 x support_half_width at degree (gamma - 3)/2, which is 2N + eps
-    for couplings on the constraint.
-    """
-    turn = math.sqrt(turning_point(p, e_max + 25.0))
-    r = reduce(p)
-    support = support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
-    return GridSpec(half_width=max(turn, _SUPPORT_MARGIN * support), points=points)
+    """Box [-L, L] holding every state up to e_max and its tail: L = psi_half_width(p, e_max)."""
+    return GridSpec(half_width=psi_half_width(p, e_max), points=points)
 
 
 def _sinc_matrix(p: CouplingParams, parity: int, half_width: float, n: int) -> np.ndarray:

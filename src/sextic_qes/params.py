@@ -11,7 +11,7 @@ Working quantities:
 A polynomial (quasi-exact) solution of degree index N and parity eps exists
 iff gamma = 4N + 3 + 2*eps, equivalently c + 2b(2N + eps) = 0.  The module
 also holds the potential's geometry: V2 = 2V, the bottom of the well, the
-outer turning point and the support of psi.
+outer turning point and the box that holds psi.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolationError, InvalidCouplingError, NoSolutionError, SolverError
-
-SUPPORT_TOL = 1e-16  # |x|^degree W(x) at the edge of psi's support, relative to its peak
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def check_constraint(r: ReducedParams, idx: QesIndex) -> None:
     2.8 eps (a^2 + |omega2|)/b.
     """
     g = constraint_gamma(idx)
-    rounding = 8.0 * np.finfo(float).eps * (r.a * r.a + abs(r.omega_sq())) / r.b
+    rounding = 8.0 * math.ulp(1.0) * (r.a * r.a + abs(r.omega_sq())) / r.b  # inf, silently, where it overflows
     if not abs(r.gamma - g) <= max(1e-8 * max(1.0, g), rounding):  # a NaN gamma refuses too
         raise ConstraintViolationError(
             f"couplings violate the constraint: gamma={r.gamma:.10g}, "
@@ -163,61 +161,49 @@ def well_bottom(p: CouplingParams) -> float:
 def turning_point(p: CouplingParams, energy: float) -> float:
     """t = x^2 of the outer turning point: the largest root of V2 = 2E, a cubic in t (0 if none).
 
-    Newton's steps on V2 - 2E polish the closed form's root while they shrink: its shift
-    -b2/3 cancels where t << |b2| (small E, large lam/eta).  InvalidCouplingError where
-    the closed form fails in doubles or the steps cross t = 0."""
+    The closed form solves it in u = t 2^-k, 2^k near its coefficients' scale, so that no power
+    of one leaves the doubles.  Its shift -b2/3 cancels where t << |b2|, so Newton's steps polish
+    its root (missed at a double root or from a start where V2 overflows); where V2 rises on
+    t > 0 and E > 0 they also reach the one root from t = 0."""
     b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
+    k = math.frexp(max(abs(b2), math.sqrt(abs(b1)), abs(b0) ** (1.0 / 3.0)))[1]
     try:
-        t, step = max(0.0, *_cubic_real_roots(b2, b1, b0)), math.inf
+        roots = _cubic_real_roots(math.ldexp(b2, -k), math.ldexp(b1, -2 * k), math.ldexp(b0, -3 * k))
+        t = math.ldexp(max(0.0, *roots), k)
     except (OverflowError, ValueError):  # float ** overflows; rounding puts sqrt's argument below 0
-        t, step = math.nan, math.inf
-    for _ in range(60):
-        slope = p.omega_sq + t * (p.lam + t * p.eta)
-        gap = t * (p.omega_sq + t * (0.5 * p.lam + t * p.eta / 3.0)) - 2.0 * energy
-        new = gap / slope if t and slope else 0.0
-        if not abs(new) < abs(step):
-            break
-        t, step = t - new, new
-    if not 0.0 <= t < math.inf:  # seen with E at a well's bottom, where the root is double
+        t = math.nan
+    t = _root_from(p, energy, t) if t else 0.0  # 0: no root t > 0, or the shift cancelled it
+    t = _root_from(p, energy, 0.0) if energy > 0.0 and not t > 0.0 and well_bottom(p) == 0.0 else t
+    if not (t > 0.0 or t == 0.0 and energy <= 0.0):
         raise _out_of_range(p, f"the turning point at E={energy:.6g} is not resolved in double precision")
     return t
 
 
-def support_half_width(r: ReducedParams, degree: float) -> float:
-    """L beyond the peak of |x|^degree exp(-a x^2/2 - b x^4/4) where it has
-    fallen to SUPPORT_TOL of its peak.
-
-    In t = x^2 the log of the envelope, f(t) = (degree/2) ln t - a t/2 - b t^2/4,
-    is concave, so Newton's method started right of the crossing
-    f(t) = f(t_peak) + ln SUPPORT_TOL decreases monotonically onto it.
-    InvalidCouplingError where it cannot: e^f(t_peak) overflows, or the
-    crossing is below the rounding of the start t = 1 (a >~ 1e17).
-    """
-    a, b, d = r.a, r.b, degree
-
-    def f(t: float) -> float:
-        return (0.5 * d * math.log(t) if d else 0.0) - 0.5 * a * t - 0.25 * b * t * t
-
-    s = math.sqrt(a * a + 4.0 * b * d)
-    t_peak = (s - a) / (2.0 * b)
-    if t_peak == 0.0 and d:  # a >> bd cancels that form to 0
-        t_peak = 2.0 * d / (a + s)
-    target = (f(t_peak) if t_peak > 0.0 else 0.0) + math.log(SUPPORT_TOL)
-    t = max(2.0 * t_peak, 1.0)
-    while f(t) > target:
-        t *= 2.0
-    # far right of the crossing a step halves t at least, so 2,200 steps span the doubles
-    for _ in range(2200 if math.isfinite(target) else 0):  # else e^f(t_peak) overflows
-        step = (f(t) - target) / (0.5 * d / t - 0.5 * a - 0.5 * b * t)
-        if not step > 0.0 or t - step == t:
-            return math.sqrt(t)
-        if not t - step > 0.0:  # the crossing is below the rounding of t
+def _root_from(p: CouplingParams, energy: float, t: float) -> float:
+    """t after Newton's steps on V2 - 2E while they shrink; nan where they end off a root by 1e-8 of V2's terms."""
+    step = math.inf
+    for _ in range(60):
+        slope = p.omega_sq + t * (p.lam + t * p.eta)
+        gap = t * (p.omega_sq + t * (0.5 * p.lam + t * p.eta / 3.0)) - 2.0 * energy
+        new = gap / slope if slope else 0.0
+        if not abs(new) < abs(step):
             break
-        t -= step
-    raise InvalidCouplingError(
-        f"couplings out of range: psi's support at lambda={r.lam:.6g}, eta={r.eta:.6g} (a={a:.6g}, b={b:.6g}) "
-        "is not resolved in double precision"
-    )
+        t, step = t - new, new
+    size = t * (abs(p.omega_sq) + t * (0.5 * abs(p.lam) + t * p.eta / 3.0)) + 2.0 * abs(energy)
+    return t if t >= 0.0 and abs(gap) <= 1e-8 * size < math.inf else math.nan
+
+
+def psi_half_width(p: CouplingParams, energy: float) -> float:
+    """L beyond which every state at or below this energy has decayed to 1e-16 of its amplitude.
+
+    Past the outer turning point x_t psi decays like exp(-int sqrt(V2 - 2E) dx) (WKB; Bender & Orszag,
+    Advanced Mathematical Methods, 1978, ch. 10), to 1e-16 at L = x_t + (3 ln 1e16 / (2 sqrt(V2'(x_t))))^(2/3)
+    with V2 on its tangent at x_t.  Past x_t V2'' = 2q + 4t q' > 0 (q = dV2/dt > 0, rising): V2 is above it."""
+    t = turning_point(p, energy)
+    slope = 2.0 * math.sqrt(t) * (p.omega_sq + t * (p.lam + t * p.eta))  # V2'(x_t)
+    if not slope > 0.0:
+        raise _out_of_range(p, f"the turning point at E={energy:.6g} is not resolved in double precision")
+    return math.sqrt(t) + (1.5 * math.log(1e16) / math.sqrt(slope)) ** (2.0 / 3.0)
 
 
 def solve_cubic_trig(p: float, q: float) -> np.ndarray:

@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError, WeightMismatchError
-from .params import ReducedParams, potential_v2, support_half_width
-from .qes_core import QesState
+from .params import QesIndex, ReducedParams, potential_v2, psi_half_width
+from .qes_core import QesState, closure_reduced
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,13 @@ _QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
 @lru_cache(maxsize=8)
-def _quadrature(a: float, b: float, degree: int) -> tuple[np.ndarray, float]:
-    """(xs, h): the trapezoid nodes on [0, L] and their spacing; L is the support at this degree
-    (see norm_and_inner).  A block's states share them, and their basis; xs is read-only."""
-    half = support_half_width(ReducedParams(a=a, b=b, c=0.0, gamma=0.0), degree)  # c and gamma play no part
+def _quadrature(r: ReducedParams, n_cap: int, eps: int) -> tuple[np.ndarray, float]:
+    """(xs, h): the trapezoid nodes on [0, L] and their spacing, L as norm_and_inner says.  The
+    block's states share them, and their basis; xs is read-only."""
+    rc = closure_reduced(r, QesIndex(n_cap, eps))  # M's rows as build_recurrence_matrix forms them, symmetrised
+    off = [2.0 * math.sqrt(rc.b * (n_cap - n) * (2 * n + 1 + eps) * (2 * n + 2 + eps)) for n in range(n_cap)] + [0.0]
+    two_e = max(rc.a * (4 * n + 2 * eps + 1) + off[n] + off[n - 1] for n in range(n_cap + 1))  # off[-1] pads
+    half = psi_half_width(rc.couplings(), 0.5 * two_e)  # Gershgorin's discs hold the top 2E
     xs = np.linspace(0.0, half, _QUAD_NODES)
     xs.flags.writeable = False
     return xs, half / (_QUAD_NODES - 1)  # the samples' own spacing
@@ -170,8 +173,8 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     The integrand is smooth, even and decays like exp(-b x^4/2), so the
     trapezoid rule on fixed nodes over [0, L] converges exponentially once
     the nodes cover it (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling
-    it covers the line.  L is psi's support: where |x|^(2N + eps) W, at the
-    larger degree of f and g, has fallen to 1e-16 of its peak.
+    it covers the line.  L is psi_half_width at Gershgorin's bound on the top
+    energy of f's block (or g's, if its box is larger): it holds the top state.
     """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
@@ -179,10 +182,14 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
             f"eigenfunctions have different weights: (a={rf.a}, b={rf.b}) vs (a={rg.a}, b={rg.b})")
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    degree = 2 * max(len(f.state.coeffs), len(g.state.coeffs)) - 2 + f.state.parity  # 2N + eps
-    xs, h = _quadrature(rf.a, rf.b, degree)
+    xs, h = _nodes(f) if g is f else max(_nodes(f), _nodes(g), key=lambda nodes: nodes[1])
     psi = _evaluate(f, xs, False)[0]
     return _trapezoid(h, psi, psi if g is f else _evaluate(g, xs, False)[0])
+
+
+def _nodes(f: Eigenfunction) -> tuple[np.ndarray, float]:
+    """_quadrature of f's block."""
+    return _quadrature(f.reduced, len(f.state.coeffs) - 1, f.state.parity)
 
 
 def _trapezoid(h: float, psi: np.ndarray, phi: np.ndarray) -> float:
@@ -204,7 +211,7 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
     2h sum delta_i (2|psi_i| + delta_i), must stay below norm^2/10.
     """
     r, st = f.reduced, f.state
-    xs, h = _quadrature(r.a, r.b, 2 * len(st.coeffs) - 2 + st.parity)  # norm_and_inner's nodes
+    xs, h = _nodes(f)  # norm_and_inner's
     with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound that is not finite refuses
         psi, abs_psi = _evaluate(f, xs, False)
         n2 = _trapezoid(h, psi, psi)

@@ -49,18 +49,18 @@ def run_python(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     )
 
 
-def mp_coefficients(m, theta: float, dps: int = 200) -> np.ndarray:
-    """A_0..A_N (A_0 = 1) of the eigenvalue of the float matrix m next to theta.
+def mp_eigenpair(m, theta, dps: int = 200) -> tuple:
+    """(theta, [A_0..A_N]) in dps-digit mpmath, A_0 = 1: the eigenvalue of m next to theta and its vector.
 
-    A forward recurrence at dps digits on m's own entries, with theta refined
-    by Newton's method on the closure row (the last row of M A = theta A).  The
-    recurrence amplifies rounding by up to ~1e80 on the blocks tested here, far
-    below 10^dps.
+    m's entries are taken as they are, floats or mpf.  A forward recurrence on
+    them, with theta refined by Newton's method on the closure row (the last
+    row of M A = theta A).  The recurrence amplifies rounding by up to ~1e80 on
+    the blocks tested here, far below 10^dps.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        d, u, l = ([mpmath.mpf(float(v)) for v in e] for e in (m.diag, m.superdiag, m.subdiag))
+        d, u, l = ([mpmath.mpf(v) for v in e] for e in (m.diag, m.superdiag, m.subdiag))
         n_cap = m.dim - 1
 
         def forward(th):
@@ -73,7 +73,7 @@ def mp_coefficients(m, theta: float, dps: int = 200) -> np.ndarray:
                 da.append((a[n] + (th - d[n]) * da[n] - lo * dprev) / u[n])
             return a, da
 
-        th = mpmath.mpf(float(theta))
+        th = mpmath.mpf(theta)
         lo = l[-1] if n_cap else 0
         for _ in range(60):
             a, da = forward(th)
@@ -82,7 +82,12 @@ def mp_coefficients(m, theta: float, dps: int = 200) -> np.ndarray:
             th -= step
             if abs(step) <= mpmath.mpf(10) ** (-dps // 2) * max(1, abs(th)):
                 break
-        return np.array([float(v) for v in forward(th)[0]])
+        return th, forward(th)[0]
+
+
+def mp_coefficients(m, theta: float, dps: int = 200) -> np.ndarray:
+    """A_0..A_N (A_0 = 1) of the eigenvalue of the float matrix m next to theta, rounded to floats."""
+    return np.array([float(v) for v in mp_eigenpair(m, theta, dps)[1]])
 
 
 def rounding_bound(n_cap, eps, a, b, x, second=False):

@@ -5,6 +5,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -23,7 +24,7 @@ from sextic_qes import (
     spectrum,
 )
 from sextic_qes.cli import _parse_range, main
-from sextic_qes.params import potential_v2
+from sextic_qes.params import turning_point
 
 from conftest import mp_coefficients, rounding_bound, run_python
 
@@ -253,13 +254,13 @@ def test_verify_command_n16_odd_shows_box(runner):
 
 
 def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
-    # the weight's e^-40 width passes the potential rule, V(L) >= E_max + 25,
+    # the weight's e^-40 width lies past the top state's turning point, x_t = 4.777,
     # so it is kept, but it cuts the tail of the top state of N = 16 odd
     idx = QesIndex(16, 1)
     p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
     half_width = 5.4229
     e_max = max(st.energy for st in spectrum(reduce(p), idx).states)
-    assert potential_v2(p, half_width) / 2.0 >= e_max + 25.0
+    assert math.sqrt(turning_point(p, e_max)) < half_width
     result = runner.invoke(
         main,
         ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd",
@@ -274,23 +275,51 @@ def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
 
 
 def test_verify_command_refuses_a_box_inside_the_turning_point(runner):
-    # V(3) = 14.05 < E_max + 25 = 34.10; this box used to be replaced by the default, L = 6.8065
-    result = runner.invoke(main, ["verify", *PAPER_BLOCK, "--half-width", "3"])
+    # the top state's x_t is 2.7203; a box short of the default used to be replaced by it
+    result = runner.invoke(main, ["verify", *PAPER_BLOCK, "--half-width", "2.5"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == (
-        "error: --half-width 3 is inside the turning point at E_max + 25 = 34.1020 (V(L) = 14.0512); "
-        "the default box is L = 6.8065\n"
+        "error: --half-width 2.5 is inside the top state's turning point x_t = 2.7203; "
+        "the default box is L = 7.4207\n"
     )
 
 
 def test_verify_command_estimate_follows_the_matched_levels(runner):
-    # the two levels past N + 1 used to set the estimate: 4.019e-05
+    # the two levels past N + 1 used to set the estimate: 4.019e-05; on the former
+    # box, L = 8.6857 from 1.2x the envelope of degree 2N, it was 9.869e-07
     result = runner.invoke(
         main, ["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "45", "--grid-points", "201"]
     )
     assert result.exit_code == 0, result.output
-    assert result.stdout.splitlines()[1].endswith("max convergence estimate 9.869e-07")
+    assert result.stdout.splitlines()[1].endswith("max convergence estimate 1.083e-10")
+
+
+def test_spectrum_where_the_turning_points_cubic_underflowed(runner):
+    # lambda = 0, eta = 1e218, N = 0: omega2 = -1.732e109 and E = 0, so the top state's
+    # turning point is t = sqrt(-3 omega2/eta) = 7.2e-55; p^3 underflowed in its cubic,
+    # which returned t = 0.  psi = W: norm^2 = Gamma(1/4)/(2 (b/2)^(1/4)) with b = sqrt(eta/3)
+    result = runner.invoke(main, ["spectrum", "--lambda", "0", "--eta", "1e218", "--N", "0", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    (state,) = json.loads(result.stdout)["states"]
+    with mpmath.workdps(30):
+        b = mpmath.sqrt(mpmath.mpf(1e218) / 3)
+        exact = float(mpmath.sqrt(mpmath.gamma(0.25) / (2 * (b / 2) ** 0.25)))
+    assert state["norm"] == pytest.approx(exact, rel=1e-13)
+    assert state["norm"] == pytest.approx(3.7292746373777755e-14, rel=1e-13)  # as the envelope box gave
+
+
+def test_spectrum_resolves_psi_far_below_the_rounding_of_one(runner):
+    # a = 4.3e99: psi lives at x ~ 1e-50, where b x^4 is nothing, so norm^2 is the Gaussian
+    # moment sum sqrt(pi/a) (1 + A_1/a + 3 A_1^2/(4 a^2)).  psi's support, searched for from
+    # t = 1, was not resolved in double precision (exit 2)
+    result = runner.invoke(main, ["spectrum", "--lambda", "1e100", "--eta", "1", "--N", "1", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    a = doc["constraint"]["a"]
+    for state in doc["states"]:
+        ratio = state["coefficients"][1] / a
+        assert state["norm"] ** 2 == pytest.approx(math.sqrt(math.pi / a) * (1 + ratio + 0.75 * ratio**2), rel=1e-12)
 
 
 def test_verify_command_accepts_couplings_it_solved(runner):
@@ -415,13 +444,13 @@ BAD_INPUTS = [
     (["spectrum", "--lambda", "1e200", "--eta", "1", "--N", "3"], 2),
     (["table", "--lambda", "1e160", "--eta", "1e-300", "--N", "1"], 2),
     (["export", "--lambda", "1e160", "--eta", "1e-300", "--N", "1", "--out", "x.json"], 2),
-    (["verify", "--lambda", "1e100", "--eta", "1", "--N", "1"], 2),
-    (["spectrum", "--lambda", "1e100", "--eta", "1", "--N", "1"], 2),
+    (["verify", "--lambda", "1e100", "--eta", "1", "--N", "1"], 5),  # E ~ 1e100: the levels match to 1e-14 relative
+    (["spectrum", "--lambda", "-1e-200", "--eta", "1e-300", "--N", "0"], 2),  # its box's turning point
     (["constraint", "--omega2", "1e307", "--lambda", "1", "--N", "0"], 2),  # printed eta 2x off and a=inf
     (["constraint", "--omega2", "2.132123508032441e+167", "--lambda", "4.647042669279346e-57", "--N", "3"], 2),
     (["table", "--lambda", "1e16", "--eta", "1e-211", "--N", "3"], 4),  # A_3 overflows; it printed inf
     (["verify", "--lambda", "-2.43133043259748e+138", "--eta", "3.2070638689951074e+164", "--N", "0"], 2),
-    (["verify", "--lambda", "1.6649588098878914e+62", "--eta", "38103791393.39117", "--N", "0"], 2),
+    (["verify", "--lambda", "1.6649588098878914e+62", "--eta", "38103791393.39117", "--N", "0"], 5),  # E ~ 1e56
 ]
 
 
@@ -722,6 +751,7 @@ _EXPONENT = st.floats(-300.0, 300.0)
 @example(lam=1e100, eta=1.0, n_cap=1, parity="even")
 @example(lam=-1e150, eta=1e-10, n_cap=2, parity="even")
 @example(lam=1e16, eta=1e-211, n_cap=3, parity="even")  # A_3 overflows
+@example(lam=0.0, eta=1e218, n_cap=0, parity="even")  # p^3 underflowed in the turning point's cubic
 def test_every_command_gives_a_finite_result_or_a_documented_error(tmp_path_factory, lam, eta, n_cap, parity):
     runner, out = CliRunner(), tmp_path_factory.mktemp("contract") / "spec.json"
     block = ["--lambda", repr(lam), "--eta", repr(eta), "--N", str(n_cap), "--parity", parity]

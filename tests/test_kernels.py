@@ -5,8 +5,8 @@ on the same float A_n, and a Hypothesis property holds psi to it against a
 frozen copy of the former Horner evaluation.  Frozen copies of the former
 numpy.polynomial-based functions pin the recurrence matrix, NaN-aware, at large
 N, both parities and both signs of a; node counts equal the former Sturm
-counts.  A frozen copy of the per-state norm, from before a block shared its
-quadrature, pins its bits; node counts equal those of the former sampled count
+counts.  Norms meet a finer, wider long-double quadrature within the
+kernel's rounding bound; node counts equal those of the former sampled count
 wherever that returned, and the node law where it raised; frozen copies of
 spectrum and coefficients_from_energy, from before a matrix's twisted passes
 shared their arrays, pin the energies and coefficients.  The coefficients are
@@ -31,7 +31,6 @@ from sextic_qes import (
     ReducedParams,
     RecurrenceMatrix,
     coefficients_from_energy,
-    default_grid,
     reduce,
     solve_constraint,
     spectrum,
@@ -39,8 +38,8 @@ from sextic_qes import (
 from sextic_qes.errors import NonEigenvalueError, QesError, SolverError
 from sextic_qes.params import (
     potential_v2,
+    psi_half_width,
     solve_cubic_trig,
-    support_half_width,
     turning_point,
     well_bottom,
 )
@@ -258,7 +257,7 @@ def test_psi_is_within_the_bound_of_the_former_horner_psi(lam, log_eta, n, eps):
     except QesError:
         return  # no spectrum at these couplings
     r = s.reduced
-    half = support_half_width(r, 2 * n + eps)
+    half = psi_half_width(r.couplings(), s.states[-1].energy)
     xs = np.concatenate([np.linspace(-half, 1.2 * half, 241), half * np.geomspace(1.5, 1e3, 40)])
     for state in sampled(s.states):
         f = Eigenfunction(state=state, reduced=r)
@@ -308,24 +307,6 @@ def test_coefficients_match_the_mpmath_eigenvector(lam, eta, n, eps):
         assert np.max(np.abs(state.coeffs / ref - 1.0)) <= 1e-10, state.label
 
 
-@pytest.mark.parametrize("e_max", [9.2, 1e3])  # the support's width binds, then the potential's
-def test_default_grid_box_is_turning_point_or_support(e_max):
-    # L is the larger of the outer turning point at e_max + 25 and 1.2x the
-    # width of the degree-(gamma - 3)/2 envelope (2N + eps on the constraint)
-    binds = 0
-    for omega_sq, lam, eta in [(0.3, 0.5, 0.03), (2.0, -1.0, 0.2), (-3.0, 0.1, 1e-3)]:
-        p = CouplingParams(omega_sq=omega_sq, lam=lam, eta=eta)
-        r = reduce(p)
-        turn = math.sqrt(turning_point(p, e_max + 25.0))
-        support = 1.2 * support_half_width(r, max(0.0, 0.5 * (r.gamma - 3.0)))
-        half = default_grid(p, e_max).half_width
-        assert half == max(turn, support)
-        if turn > support:
-            binds += 1
-            assert potential_v2(p, half) == pytest.approx(2.0 * (e_max + 25.0), rel=1e-12)
-    assert binds == (e_max == 1e3)
-
-
 def test_self_norm_keeps_former_bits():
     _, s = next(blocks([3]))
     f = Eigenfunction(state=s.states[1], reduced=s.reduced)
@@ -337,17 +318,37 @@ def test_self_norm_keeps_former_bits():
 # the per-state norm and node count against their former, per-state copies
 
 
-def _former_norm_and_inner(f, g):
-    """norm_and_inner as it was before the quadrature was shared: its own grid and weight per call."""
-    if (f.state.parity + g.state.parity) % 2 == 1:
-        return 0.0
-    degree = max(2 * len(e.state.coeffs) - 2 + e.state.parity for e in (f, g))
-    half = support_half_width(f.reduced, degree)
-    xs = np.linspace(0.0, half, 2001)
-    h = half / 2000
-    psi = eval_psi(f, xs)
-    y = psi * psi if g is f else psi * eval_psi(g, xs)
-    return float(2.0 * h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+def _reference_inner(f, g, half):
+    """(<f, g>, the kernel's rounding bound on it, int |psi_f psi_g|): the trapezoid rule in
+    long double on 4,001 nodes over [0, 1.5 half], with 3/4 of the norm's spacing at half = its
+    box, and psi by Horner's rule in long double from the same float A_n."""
+    xs = np.linspace(0.0, 1.5 * half, 4001)
+    t, h = np.longdouble(xs) ** 2, np.longdouble(xs[1])
+
+    def psi_and_rounding(e):
+        a, b = (np.longdouble(v) for v in (e.reduced.a, e.reduced.b))
+        w = np.exp(-a * t / 2 - b * t * t / 4) * np.longdouble(xs) ** e.state.parity
+        c = e.state.coeffs.astype(np.longdouble)
+        bound = rounding_bound(len(c) - 1, e.state.parity, e.reduced.a, e.reduced.b, xs)
+        return npoly.polyval(t, c) * w, bound * npoly.polyval(t, np.abs(c)) * np.abs(w)
+
+    def integral(y):
+        return float(2 * h * (np.sum(y) - (y[0] + y[-1]) / 2))
+
+    (pf, df) = psi_and_rounding(f)
+    (pg, dg) = (pf, df) if g is f else psi_and_rounding(g)
+    return integral(pf * pg), integral(df * np.abs(pg) + dg * np.abs(pf) + df * dg), integral(np.abs(pf * pg))
+
+
+def _meets_reference(got, f, g, half) -> bool:
+    """got is within 1e-12 of int |psi_f psi_g| plus twice the rounding bound of the reference."""
+    ref, bound, magnitude = _reference_inner(f, g, half)
+    return abs(got - ref) <= 1e-12 * magnitude + 2.0 * bound
+
+
+def _box(s) -> float:
+    """The norm's box of a block: psi_half_width at its top energy."""
+    return psi_half_width(s.reduced.couplings(), s.states[-1].energy)
 
 
 def _former_cubic_real_roots(b2, b1, b0):
@@ -408,9 +409,11 @@ def seeded_blocks():
 
 def test_node_counts_and_norms_keep_their_per_state_bits():
     # where rounding hid psi's sign from the former count, it raised; the signs
-    # of the A_n are still known there, and the count is the node law
-    raised = formerly_raised = 0
+    # of the A_n are still known there, and the count is the node law.  The norm
+    # meets a finer, wider long-double quadrature wherever it is finite
+    raised = formerly_raised = not_finite = 0
     for s in seeded_blocks():
+        half = _box(s)
         for st in s.states:
             f = Eigenfunction(state=st, reduced=s.reduced)
             g = Eigenfunction(state=st, reduced=s.reduced)  # equal, but not f itself
@@ -420,22 +423,29 @@ def test_node_counts_and_norms_keep_their_per_state_bits():
             raised += isinstance(count, str)
             formerly_raised += isinstance(former, str)
             with np.errstate(all="ignore"):
-                assert same(norm_and_inner(f, f), _former_norm_and_inner(f, f))
-                assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
+                norm_sq = norm_and_inner(f, f)
+                assert same(norm_and_inner(f, g), norm_sq)
+                if not math.isfinite(norm_sq):  # the sum of psi^2 over the nodes overflows a double
+                    not_finite += 1
+                    psi = eval_psi(f, np.linspace(0.0, half, 2001)).astype(np.longdouble)
+                    assert np.sum(psi * psi) > np.finfo(float).max, (s.index, st.label)
+                elif st in sampled(s.states):
+                    assert _meets_reference(norm_sq, f, f, half), (s.index, st.label)
     assert raised == 0
     assert formerly_raised >= 6  # top states of the deep wells, of N = 20 at a < 0 and of N = 40
+    assert not_finite <= 30, not_finite
 
 
 def test_inner_products_of_different_degree_keep_their_bits():
-    # the support is the larger degree's: the first call's grid must not be reused for it
+    # states of two blocks share the larger block's box: the first call's grid must not be reused
     for lam, eta in ((0.5, 0.03), (-0.6, 0.05)):
         for eps in (0, 1):
             specs = [spectrum(reduce(solve_constraint(QesIndex(n, eps), lam=lam, eta=eta)[0]), QesIndex(n, eps))
                      for n in (3, 5, 8)]
-            fs = [Eigenfunction(state=st, reduced=s.reduced) for s in specs for st in s.states]
-            for f in fs[::2]:
-                for g in fs[1::3]:
-                    assert same(norm_and_inner(f, g), _former_norm_and_inner(f, g))
+            fs = [(Eigenfunction(state=st, reduced=s.reduced), _box(s)) for s in specs for st in s.states]
+            for f, box_f in fs[::2]:
+                for g, box_g in fs[1::3]:
+                    assert _meets_reference(norm_and_inner(f, g), f, g, max(box_f, box_g))
 
 
 def _mp_turning_point(p, energy):

@@ -4,16 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from types import SimpleNamespace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sextic_qes import (
     ConstraintViolationError,
     CouplingParams,
     GridSpec,
-    InvalidCouplingError,
     QesIndex,
-    ReducedParams,
     VerificationError,
     default_grid,
     lowest_eigenvalues,
@@ -29,7 +29,9 @@ from sextic_qes.oracle import (
     _sinc_levels,
     _sinc_matrix,
 )
-from sextic_qes.params import potential_v2, support_half_width
+from sextic_qes.params import psi_half_width, turning_point
+
+from conftest import mp_eigenpair
 
 TABLE1 = CouplingParams(0.0625, 0.5, 0.03)
 TABLE2 = CouplingParams(-0.1375, 0.5, 0.03)
@@ -46,45 +48,72 @@ def test_grid_spec_validation():
 
 def test_default_grid_covers_turning_region():
     g = default_grid(TABLE1, e_max=9.2)
-    assert potential_v2(TABLE1, g.half_width) / 2.0 >= 9.2 + 25.0
+    assert g.half_width == psi_half_width(TABLE1, 9.2) > math.sqrt(turning_point(TABLE1, 9.2))
 
 
-@pytest.mark.parametrize(
-    "a, b, degree", [(1.0, 0.1, 0), (-7.7, 0.0325, 0), (-7.7, 0.0325, 41), (0.5, 2.0, 200), (3.0, 1e-3, 7)]
+@settings(max_examples=25)
+@given(
+    lam=st.floats(-3.0, 3.0),
+    log10_eta=st.floats(-3.5, 0.5),
+    n_cap=st.integers(0, 100),
+    parity=st.integers(0, 1),
 )
-def test_support_half_width_is_the_outer_1e16_point(a, b, degree):
-    # |x|^degree exp(-a x^2/2 - b x^4/4) falls to 1e-16 of its peak at L, on its way down
-    def log_env(x):
-        return degree * np.log(x) - a * x * x / 2 - b * x**4 / 4
+@example(lam=0.5, log10_eta=math.log10(0.03), n_cap=100, parity=0)
+@example(lam=-1.5, log10_eta=math.log10(3e-3), n_cap=100, parity=0)  # a^2/b = 4,450
+@example(lam=-3.0, log10_eta=-3.5, n_cap=1, parity=0)  # a^2/b = 520,000: a low top level in deep wells
+def test_psi_half_width_errs_on_the_safe_side(lam, log10_eta, n_cap, parity):
+    # the WKB decay from the top state's turning point to L, int sqrt(V2 - 2E), in
+    # 30 digits on the float couplings: the tangent at x_t must not overestimate it
+    idx = QesIndex(n_cap, parity)
+    p = solve_constraint(idx, lam=lam, eta=10.0**log10_eta)[0]
+    e_max = spectrum(reduce(p), idx).states[-1].energy
+    half = psi_half_width(p, e_max)
+    with mpmath.workdps(30):
+        w2, lam_mp, eta_mp, two_e = (mpmath.mpf(v) for v in (p.omega_sq, p.lam, p.eta, 2.0 * e_max))
 
-    peak = np.max(log_env(np.linspace(1e-6, 50.0, 200001)))
-    target = peak + math.log(1e-16)
-    width = support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)
-    assert log_env(width) == pytest.approx(target, abs=1e-6)
-    assert log_env(1.001 * width) < target < log_env(0.999 * width)
+        def kappa(x):
+            x2 = x * x
+            return mpmath.sqrt(max(0, x2 * (w2 + x2 * (lam_mp / 2 + x2 * eta_mp / 3)) - two_e))
 
-
-@pytest.mark.parametrize("a, b, degree", [(1e12, 1e-30, 1), (1e15, 1e-200, 3), (0.0, 1e100, 0), (0.0, 1e100, 5)])
-def test_support_half_width_at_extreme_scales(a, b, degree):
-    # a >> b degree cancels the peak, (sqrt(a^2 + 4 b degree) - a)/(2b) in t = x^2, to 0; at
-    # b = 1e100 the 1e-16 point lies ~160 of Newton's steps below its start t = 1
-    a_mp, b_mp = mpmath.mpf(a), mpmath.mpf(b)
-
-    def log_env(t):
-        return degree / 2 * mpmath.log(t) - a_mp * t / 2 - b_mp * t * t / 4
-
-    peak = log_env(2 * degree / (a_mp + mpmath.sqrt(a_mp**2 + 4 * b_mp * degree))) if degree else 0
-    target = peak + mpmath.log(1e-16)
-    t = mpmath.mpf(support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)) ** 2
-    assert abs(log_env(t) - target) <= 1e-9 * abs(target)
-    assert log_env(1.001 * t) < target < log_env(0.999 * t)
+        decay = mpmath.quad(kappa, [math.sqrt(turning_point(p, e_max)), half])
+        assert decay >= mpmath.log(mpmath.mpf(10) ** 16), (float(decay), half)
 
 
-@pytest.mark.parametrize("a, b, degree", [(-8.8e112, 3.7e-133, 1), (4.3e99, 5.8e-151, 3)])
-def test_support_half_width_refuses_what_doubles_cannot_resolve(a, b, degree):
-    # e^f at the peak t = -a/b overflows, or the crossing lies below the rounding of the start t = 1
-    with pytest.raises(InvalidCouplingError, match="psi's support .* is not resolved in double precision"):
-        support_half_width(ReducedParams(a, b, 0.0, 0.0), degree)
+def test_top_state_norm_beyond_psi_half_width_in_a_45_digit_shot():
+    # (0.5, 0.03), N = 40, even: psi'' = (V2 - 2E) psi from psi(0) = 1, psi'(0) = 0 at the
+    # exact E of the block's float (a, b), out to L = 7.9312 (x_t = 6.2318).  It holds psi to
+    # the decaying solution only from ~45 digits: at 40 the growing one, seeded by the shot's
+    # own truncation, is 1e-21 at L.  Past L psi decays faster than exp(-kappa(L) (x - L)), so
+    # at most psi(L)^2/(2 kappa(L)) of norm^2/2 lies there; norm^2/2 is the exact polynomial's
+    idx = QesIndex(40, 0)
+    p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
+    s = spectrum(reduce(p), idx)
+    half = psi_half_width(p, s.states[-1].energy)
+    with mpmath.workdps(45):
+        a, b = mpmath.mpf(s.reduced.a), mpmath.mpf(s.reduced.b)
+        k = range(idx.n_cap + 1)
+        block = SimpleNamespace(dim=len(k), diag=[a * (4 * n + 1) for n in k],
+                                superdiag=[-(2 * n + 1) * (2 * n + 2) for n in k[:-1]],
+                                subdiag=[-4 * b * (idx.n_cap - n) for n in k[:-1]])
+        two_e, coeffs = mp_eigenpair(block, 2.0 * s.states[-1].energy, dps=45)
+        w2, lam, eta = a * a - 163 * b, 4 * a * b, 3 * b * b  # gamma = 4N + 3 exactly
+
+        def gap(x):
+            x2 = x * x
+            return x2 * (w2 + x2 * (lam / 2 + x2 * eta / 3)) - two_e
+
+        def exact(x):
+            t = x * x
+            return mpmath.polyval(coeffs[::-1], t) * mpmath.exp(-a * t / 2 - b * t * t / 4)
+
+        x_end = mpmath.mpf(half)
+        psi, dpsi = mpmath.odefun(lambda x, y: [y[1], gap(x) * y[0]], 0, [mpmath.mpf(1), mpmath.mpf(0)])(x_end)
+        kappa = mpmath.sqrt(gap(x_end))
+        assert -1.1 * kappa < dpsi / psi < -kappa  # the decaying solution: psi'/psi ~ -kappa - kappa'/(2 kappa)
+        assert abs(psi / exact(x_end) - 1) < 1e-3
+        with mpmath.workdps(20):
+            half_norm_sq = mpmath.quad(lambda x: exact(x) ** 2, mpmath.linspace(0, x_end, 9))
+        assert psi**2 / (2 * kappa) <= 1e-30 * half_norm_sq
 
 
 def test_harmonic_limit():
@@ -196,12 +225,12 @@ def test_report_carries_convergence_and_box():
 
 
 def test_verify_uses_the_box_it_is_given():
-    # V(3) = 19.45 < E_max + 25 = 25.63: this box used to be replaced by default_grid's L = 6.3353
+    # x_t = 0.9188 < 3 < 10.8319, the default box; a box short of the default used to be replaced by it
     idx = QesIndex(0, 0)
     p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
     s = spectrum(reduce(p), idx)
     grid = GridSpec(3.0)
-    assert potential_v2(p, grid.half_width) / 2.0 < s.states[0].energy + 25.0
+    assert grid.half_width < default_grid(p, s.states[0].energy).half_width
     report = verify_qes(s, p, grid)
     assert report.half_width == 3.0
     assert report.eigenvalues == lowest_eigenvalues(p, 1, grid, parity=0).tolist()

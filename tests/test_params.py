@@ -266,3 +266,29 @@ def test_turning_point_where_the_shift_cancels(omega_sq, lam, eta, energy):
         cubic = [mpmath.mpf(eta) / 3, mpmath.mpf(lam) / 2, mpmath.mpf(omega_sq), -2 * mpmath.mpf(energy)]
         ref = float(max(r.real for r in mpmath.polyroots(cubic, extraprec=200) if abs(r.imag) < 1e-30 * abs(r)))
     assert abs(t - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("omega_sq, eta", [(-1.7320508075688774e109, 1e218), (-1.7320508075688774e-109, 1e-218)])
+def test_turning_point_where_a_power_of_the_cubics_coefficients_left_the_doubles(omega_sq, eta):
+    # lambda = 0, E = 0 (the block N = 0 of lambda = 0, eta = 1e218): t = sqrt(-3 omega2/eta).
+    # p^3 underflowed to 0 in the closed form, which returned its shift 0, and Newton's
+    # steps do not start from t = 0; or p^3 overflowed, and the turning point refused
+    t = turning_point(CouplingParams(omega_sq, 0.0, eta), 0.0)
+    with mpmath.workdps(30):
+        ref = float(mpmath.sqrt(-3 * mpmath.mpf(omega_sq) / mpmath.mpf(eta)))
+    assert abs(t - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.parametrize(
+    "omega_sq, lam, eta, energy",
+    [(1.8750000000000001e304, 1e153, 10.0, 2.053959590644373e152), (1.875e199, 1e100, 1.0, 1.0825317547305482e100)],
+)
+def test_turning_point_where_the_closed_form_loses_a_root_far_below_b2(omega_sq, lam, eta, energy):
+    # the top states of N = 0, odd, at lambda = 1e153, eta = 10 and of N = 1, even, at lambda = 1e100,
+    # eta = 1: t = 2E/omega2 << b2 = 1.5 lambda/eta.  The closed form's rounding of the first, scaled up,
+    # is 5.8e135, where V2 overflows, and the second's is 0; V2 rises on t > 0, so the steps from 0 reach t
+    t = turning_point(CouplingParams(omega_sq, lam, eta), energy)
+    with mpmath.workdps(60):
+        w2, lam_mp, eta_mp, e2 = (mpmath.mpf(v) for v in (omega_sq, lam, eta, 2.0 * energy))
+        ref = float(mpmath.findroot(lambda s: s * (w2 + s * (lam_mp / 2 + s * eta_mp / 3)) - e2, e2 / w2))
+    assert abs(t - ref) <= 2 * math.ulp(ref)
