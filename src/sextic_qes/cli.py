@@ -320,7 +320,7 @@ def cmd_verify(omega2, lam, eta, n_cap, parity, grid_points, half_width):
     if not report.all_matched:
         bad = [str(st.label) for st, m in zip(spec.states, report.matches) if not m.converged]
         raise VerificationError(f"{len(bad)} of {len(spec.states)} levels miss the oracle's by more than "
-                                f"{oracle_mod.MATCH_TOL:g}: m={', '.join(bad)}")
+                                f"{oracle_mod.MATCH_TOL:g} max(1, |E|): m={', '.join(bad)}")
 
 
 def _parse_scan(spec: str) -> tuple[str, np.ndarray]:

@@ -20,7 +20,7 @@ from .errors import VerificationError
 from .params import CouplingParams, check_constraint, potential_v2, psi_half_width, reduce, well_bottom
 from .qes_core import QesSpectrum
 
-MATCH_TOL = 1e-5       # agreement target; the solve itself converges to ~1e-12
+MATCH_TOL = 1e-5       # agreement target relative to max(1, |E|); the solve converges to ~1e-12
 _UNMATCHED_TOL = 1e-2  # beyond this the oracle's level m is not QES level m at all
 _CONVERGED = 1e-9      # |E(1.25 n) - E(n)| / max(1, |E|) that ends the refinement
 
@@ -43,6 +43,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Match:
+    """An exact level against the oracle's; converged when they agree to MATCH_TOL max(1, |E|)."""
+
     qes_energy: float
     oracle_energy: float
     abs_error: float
@@ -172,7 +174,7 @@ def verify_qes(
         half_width=grid.half_width,
         points=points,
         matches=[
-            Match(qes_energy=e, oracle_energy=v, abs_error=d, converged=d < MATCH_TOL)
+            Match(qes_energy=e, oracle_energy=v, abs_error=d, converged=d < MATCH_TOL * max(1.0, abs(e)))
             for e, v, d in zip(exact.tolist(), found.tolist(), err.tolist())
         ],
     )

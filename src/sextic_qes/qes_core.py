@@ -12,7 +12,7 @@ as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -43,15 +43,30 @@ class RecurrenceMatrix:
         return m
 
 
+@dataclass(eq=False)
+class QesBlock:
+    """What the states of one (N, eps) block share: the weight (a, b) of reduced, eps, and
+    the coefficient rows, state m's A_0..A_N in coeffs[m].  wavefunction keeps the data it
+    evaluates them with here, built at first use, so that it lives as long as the block."""
+
+    reduced: ReducedParams
+    parity: int
+    coeffs: tuple[np.ndarray, ...]
+    norms: object = field(default=None, repr=False)  # the nodes, psi rows and norms, at the first norm
+    grid: list | None = field(default=None, repr=False)  # the basis of the last grid evaluated on
+
+
 @dataclass(frozen=True)
 class QesState:
-    """One exact eigenpair: energy, coefficients A_0..A_N (A_0 = 1), parity."""
+    """One exact eigenpair: energy, coefficients A_0..A_N (A_0 = 1), parity.  A state of
+    spectrum refers to its block; one built by hand has none."""
 
     energy: float
     coeffs: np.ndarray
     parity: int
     expected_nodes: int
     label: int
+    block: QesBlock | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,8 +78,12 @@ class QesSpectrum:
     states: list[QesState]
 
 
-def _state(energy: float, coeffs: np.ndarray, idx: QesIndex, label: int) -> QesState:
-    return QesState(energy, coeffs, idx.parity, expected_nodes=2 * label + idx.parity, label=label)
+def _spectrum(rc: ReducedParams, idx: QesIndex, energies: list[float], coeffs) -> QesSpectrum:
+    """The block of states m with energies[m] and coeffs[m], ascending."""
+    block = QesBlock(rc, idx.parity, tuple(coeffs))
+    states = [QesState(e, c, idx.parity, expected_nodes=2 * m + idx.parity, label=m, block=block)
+              for m, (e, c) in enumerate(zip(energies, block.coeffs))]
+    return QesSpectrum(index=idx, reduced=rc, states=states)
 
 
 def closure_reduced(r: ReducedParams, idx: QesIndex) -> ReducedParams:
@@ -319,14 +338,13 @@ def spectrum_closed_form(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
     a1_values = _closed_form_a1(rc, idx)
     pairs = sorted(((float(energy_from_a1(a1, rc.a, idx.parity)), float(a1)) for a1 in a1_values),
                    key=lambda t: t[0])
-    states = []
-    for m, (e, a1) in enumerate(pairs):
+    coeffs = []
+    for e, a1 in pairs:
         try:
-            coeffs = _rational_coeffs(a1, rc, idx)
+            coeffs.append(_rational_coeffs(a1, rc, idx))
         except SolverError:
-            coeffs = coefficients_from_energy(e, rc, idx)
-        states.append(_state(e, coeffs, idx, m))
-    return QesSpectrum(index=idx, reduced=rc, states=states)
+            coeffs.append(coefficients_from_energy(e, rc, idx))
+    return _spectrum(rc, idx, [e for e, _ in pairs], coeffs)
 
 
 def spectrum(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
@@ -335,6 +353,4 @@ def spectrum(r: ReducedParams, idx: QesIndex) -> QesSpectrum:
     rc = closure_reduced(r, idx)
     m = build_recurrence_matrix(rc, idx)
     theta = eigenvalues(m)
-    coeffs = _coefficients(m, theta, refine=True)
-    states = [_state(e, c, idx, j) for j, (e, c) in enumerate(zip((theta / 2.0).tolist(), coeffs))]
-    return QesSpectrum(index=idx, reduced=rc, states=states)
+    return _spectrum(rc, idx, (theta / 2.0).tolist(), _coefficients(m, theta, refine=True))

@@ -3,7 +3,9 @@
 An eigenfunction is x^eps * (sum_n A_n x^{2n}) * exp(-a x^2/2 - b x^4/4).  On a grid,
 the states of a block share one weighted power basis B[n] = t^n W(x), t = x^2: psi is
 x^eps (A @ B), and psi'' follows from one (3, N+1) @ B product by the product rule,
-never by finite differences; numeric differentiation appears only in tests.
+never by finite differences; numeric differentiation appears only in tests.  The block
+(qes_core.QesBlock) holds what its states share: the basis of the last grid evaluated on,
+and from its first norm on, its quadrature nodes and every state's psi row and norm there.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverError, WeightMismatchError
 from .params import QesIndex, ReducedParams, potential_v2, psi_half_width
-from .qes_core import QesState, closure_reduced
+from .qes_core import QesBlock, QesState, closure_reduced
 
 
 @dataclass(frozen=True)
@@ -36,20 +39,24 @@ class NodeReport:
 
 
 _BLOCK = 1 << 20  # doubles in the basis of one block of points, at most
-_BASIS: list = [None, None]  # the one basis held: its key (the grid's bytes, a, b, rows) and arrays
+
+
+def _block(f: Eigenfunction) -> tuple[QesBlock, int]:
+    """f's block and its state's row there.  A state built by hand, or evaluated with a weight,
+    parity or coefficients other than its block's, is a block of one, built on each call."""
+    st, r, blk = f.state, f.reduced, f.state.block
+    if (blk is not None and (blk.reduced.a, blk.reduced.b, blk.parity) == (r.a, r.b, st.parity)
+            and 0 <= st.label < len(blk.coeffs) and blk.coeffs[st.label] is st.coeffs):
+        return blk, st.label
+    return QesBlock(r, st.parity, (st.coeffs,)), 0
 
 
 def _basis(x: np.ndarray, a: float, b: float, rows: int) -> tuple:
-    """(B, k, s, q) at the points x for the weight (a, b): B[j] = 2^-k[j] t^n W, n = rows - 1 - j, t = x^2,
+    """(B, k, t) at the points x for the weight (a, b): B[j] = 2^-k[j] t^n W, n = rows - 1 - j, t = x^2,
     in descending n, so that a coefficient row sums in Horner's order.  Each row is the one below times
     t.  Where that overflows at finite W (the top row shows it), the rows are formed again, each from
     the one below scaled by the least power of two that keeps its finite part finite, which is exact
-    (k is None where no row needs it).  Rows are 0 where W is, also where t overflows.  s = a + bt and
-    q = ts^2 - s - 2bt serve psi''.  The grid's bytes, not its identity, key the one basis held."""
-    key = (x.tobytes(), a, b, rows)
-    if _BASIS[0] == key:  # compared, not hashed
-        return _BASIS[1]
-    _BASIS[:] = None, None  # the old basis goes first
+    (k is None where no row needs it).  Rows are 0 where W is, also where t overflows, and so is t."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf says where W or t^n W overflows
         t = x * x
         w = np.exp(-0.5 * a * t - 0.25 * b * t * t)
@@ -65,11 +72,26 @@ def _basis(x: np.ndarray, a: float, b: float, rows: int) -> tuple:
                 e = max(0, math.frexp(below.max(initial=0.0, where=below < math.inf))[1] + t_exp - 1023)
                 k[j] += e
                 np.multiply(np.ldexp(below, -e), t, out=basis[j])
-        s = a + b * t
-        q = t * s * s - s - 2.0 * b * t
-    basis.flags.writeable = s.flags.writeable = q.flags.writeable = False
-    _BASIS[:] = key, (basis, k if k.any() else None, s, q)
-    return _BASIS[1]
+    basis.flags.writeable = t.flags.writeable = False
+    return basis, k if k.any() else None, t
+
+
+def _grid(blk: QesBlock, x: np.ndarray, second: bool) -> list:
+    """[key, B, k, t, (s, q)]: _basis at x for blk's weight, kept as blk's last grid.  The grid's
+    bytes, not its identity, key it.  s = a + bt and q = ts^2 - s - 2bt serve psi'', and are
+    formed at its first call with second, else None."""
+    key = x.tobytes()
+    if blk.grid is None or blk.grid[0] != key:  # compared, not hashed
+        blk.grid = None  # the old basis goes first
+        blk.grid = [key, *_basis(x, blk.reduced.a, blk.reduced.b, len(blk.coeffs[0])), None]
+    if second and blk.grid[4] is None:
+        a, b, t = blk.reduced.a, blk.reduced.b, blk.grid[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = a + b * t
+            q = t * s * s - s - 2.0 * b * t
+        s.flags.writeable = q.flags.writeable = False
+        blk.grid[4] = s, q
+    return blk.grid
 
 
 @lru_cache(maxsize=4)
@@ -79,18 +101,23 @@ def _factors(rows: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * n + eps, (2 * n * (2 * n + 2 * eps - 1))[:-1]
 
 
-def _products(f: Eigenfunction, x: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:
-    """Per set of coefficient rows, its sums against B at the points of x: both rows' of a pair, or
-    L - 2sM + qP for the rows of P, M and L; per block of points of at most _BLOCK basis doubles."""
-    flat, n = x.reshape(-1), sets[0].shape[1]
-    outs = [np.empty((1 if len(rows) == 3 else len(rows), *x.shape)) for rows in sets]
+def _products(blk: QesBlock, x: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
+    """Per set of coefficient rows, its sums against blk's basis at the points of x: both rows' of
+    a pair, or L - 2sM + qP for the rows of P, M and L; per block of points of at most _BLOCK basis
+    doubles."""
+    flat, n, second = x.reshape(-1), len(blk.coeffs[0]), any(len(rows) == 3 for rows in sets)
+    outs = [np.empty((1 if len(rows) == 3 else len(rows), flat.size)) for rows in sets]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN says where psi overflows
         for lo in range(0, flat.size, step := max(1, _BLOCK // n)):
-            basis, k, s, q = _basis(flat[lo : lo + step], f.reduced.a, f.reduced.b, n)
+            _, basis, k, _, sq = _grid(blk, flat[lo : lo + step], second)
             for y, rows in zip(outs, sets):
-                p = (rows if k is None else np.ldexp(rows, k)) @ basis
-                y.reshape(len(y), -1)[:, lo : lo + step] = p[2] - 2.0 * s * p[1] + q * p[0] if len(p) == 3 else p
-    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+                rows = rows if k is None else np.ldexp(rows, k)
+                if len(rows) == 3:
+                    p = rows @ basis
+                    y[0, lo : lo + step] = p[2] - 2.0 * sq[0] * p[1] + sq[1] * p[0]
+                else:
+                    np.matmul(rows, basis, out=y[:, lo : lo + step])
+    return [y.reshape(len(y), *x.shape) for y in outs]
 
 
 def _evaluate(f: Eigenfunction, x: np.ndarray, *second: bool) -> list[np.ndarray]:
@@ -103,10 +130,12 @@ def _evaluate(f: Eigenfunction, x: np.ndarray, *second: bool) -> list[np.ndarray
     with q = ts^2 - s - 2bt, and PW, MW, LW from one (3, N+1) @ B product.  s vanishes at the
     wells of a < 0, where psi''/W in powers of t would cancel.
     """
-    c, eps = f.state.coeffs[::-1], f.state.parity  # descending n
+    blk, row = _block(f)
+    c, eps = blk.coeffs[row][::-1], blk.parity  # descending n
     m, l = _factors(len(c), eps)
     pml = np.array([c, m * c, np.append(0.0, l * c[:-1])]) if any(second) else None
-    out = _products(f, x, [pml if d2 else np.array([c, np.abs(c)]) for d2 in second])
+    outs = _products(blk, x, [pml if d2 else np.array([c, np.abs(c)]) for d2 in second])
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
     out = x * out if eps else out
     return list(out if f.norm_constant is None else f.norm_constant * out)
 
@@ -154,7 +183,6 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
 _QUAD_NODES = 2001  # trapezoid nodes on the half line
 
 
-@lru_cache(maxsize=8)
 def _quadrature(r: ReducedParams, n_cap: int, eps: int) -> tuple[np.ndarray, float]:
     """(xs, h): the trapezoid nodes on [0, L] and their spacing, L as norm_and_inner says.  The
     block's states share them, and their basis; xs is read-only."""
@@ -167,6 +195,46 @@ def _quadrature(r: ReducedParams, n_cap: int, eps: int) -> tuple[np.ndarray, flo
     return xs, half / (_QUAD_NODES - 1)  # the samples' own spacing
 
 
+class _Norms(NamedTuple):
+    """A block's norm data: its quadrature nodes and spacing, per state the rows [psi, |A| @ B]
+    on them (x^eps applied to psi only), and each psi's trapezoid norm^2."""
+
+    xs: np.ndarray
+    h: float
+    rows: list[np.ndarray]
+    norm_sq: np.ndarray
+
+
+def _norms(blk: QesBlock) -> _Norms:
+    """blk's norm data, built at the first call in one pass over its states on its nodes.  Each
+    state keeps its own [A, |A|] @ B product: a product of all the rows at once sums in another
+    order from N = 16 (OpenBLAS), which would move the norms' bits."""
+    if blk.norms is None:
+        xs, h = _quadrature(blk.reduced, len(blk.coeffs[0]) - 1, blk.parity)
+        c = np.array(blk.coeffs)[:, ::-1]  # descending n
+        rows = _products(blk, xs, list(np.stack([c, np.abs(c)], axis=1)))
+        norm_sq = np.empty(len(rows))
+        with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
+            for m, (psi, _) in enumerate(rows):
+                if blk.parity:
+                    np.multiply(psi, xs, out=psi)
+                norm_sq[m] = _trapezoid(h, psi, psi)
+                rows[m].flags.writeable = False
+        blk.norms = _Norms(xs, h, rows, norm_sq)
+    return blk.norms
+
+
+def _scaled(f: Eigenfunction, psi: np.ndarray) -> np.ndarray:
+    """psi times f's norm_constant, if set."""
+    return psi if f.norm_constant is None else f.norm_constant * psi
+
+
+def _trapezoid(h: float, psi: np.ndarray, phi: np.ndarray) -> float:
+    """The trapezoid rule on the nodes [0, L] of spacing h for the even integrand psi phi, doubled."""
+    y = psi * phi
+    return 2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1]))
+
+
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     """L2 inner product of f and g over the real line (norm^2 when f is g).
 
@@ -175,6 +243,9 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     the nodes cover it (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling
     it covers the line.  L is psi_half_width at Gershgorin's bound on the top
     energy of f's block (or g's, if its box is larger): it holds the top state.
+    The block's first norm forms every state's psi on its nodes and its norm^2
+    (_norms); a norm, or an inner product within the block, reads them.  A
+    state of another block is evaluated on the larger box's nodes.
     """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
@@ -182,21 +253,18 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
             f"eigenfunctions have different weights: (a={rf.a}, b={rf.b}) vs (a={rg.a}, b={rg.b})")
     if (f.state.parity + g.state.parity) % 2 == 1:
         return 0.0  # odd integrand
-    xs, h = _nodes(f) if g is f else max(_nodes(f), _nodes(g), key=lambda nodes: nodes[1])
-    psi = _evaluate(f, xs, False)[0]
-    return _trapezoid(h, psi, psi if g is f else _evaluate(g, xs, False)[0])
-
-
-def _nodes(f: Eigenfunction) -> tuple[np.ndarray, float]:
-    """_quadrature of f's block."""
-    return _quadrature(f.reduced, len(f.state.coeffs) - 1, f.state.parity)
-
-
-def _trapezoid(h: float, psi: np.ndarray, phi: np.ndarray) -> float:
-    """The trapezoid rule on the nodes [0, L] of spacing h for the even integrand psi phi, doubled."""
+    bf, jf = _block(f)
+    bg, jg = (bf, jf) if g is f else _block(g)
+    nf = ng = _norms(bf)
+    if bg is bf and jf == jg and f.norm_constant is None and g.norm_constant is None:
+        return float(nf.norm_sq[jf])
+    if bg is not bf:
+        ng = _norms(bg)
+    nodes = nf if nf.h >= ng.h else ng  # the larger box; f's where they are equal
     with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
-        y = psi * phi
-        return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
+        psi_f, psi_g = (_scaled(e, n.rows[j][0]) if n is nodes else _evaluate(e, nodes.xs, False)[0]
+                        for e, n, j in ((f, nf, jf), (g, ng, jg)))
+        return float(_trapezoid(nodes.h, psi_f, psi_g))
 
 
 def _finite_norm_sq(f: Eigenfunction) -> float:
@@ -208,15 +276,18 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
     W, and the product sums N+1 terms (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, 3.1), so each term of psi at node i is within gamma_{2N+1} <= (N+1) eps of exact for
     the node's t and W: delta_i = (N+1) eps |x_i|^eps (|A| @ B)_i.  Its bound on norm^2,
-    2h sum delta_i (2|psi_i| + delta_i), must stay below norm^2/10.
+    2h sum delta_i (2|psi_i| + delta_i), must stay below norm^2/10.  Both come from the rows
+    of the block's norm data (_norms).
     """
     r, st = f.reduced, f.state
-    xs, h = _nodes(f)  # norm_and_inner's
+    blk, m = _block(f)
+    n = _norms(blk)
+    psi, abs_psi = n.rows[m]
     with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound that is not finite refuses
-        psi, abs_psi = _evaluate(f, xs, False)
-        n2 = _trapezoid(h, psi, psi)
+        psi, abs_psi = _scaled(f, psi), _scaled(f, n.xs * abs_psi if st.parity else abs_psi)
+        n2 = float(n.norm_sq[m] if f.norm_constant is None else _trapezoid(n.h, psi, psi))
         delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
-        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
+        bound = 2.0 * n.h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
     if not math.isfinite(n2):
         raise SolverError(
             f"the norm of state m={st.label} is not finite: psi^2 overflows a double "

@@ -254,11 +254,13 @@ def test_verify_command_n16_odd_shows_box(runner):
 
 
 def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
-    # the weight's e^-40 width lies past the top state's turning point, x_t = 4.777,
-    # so it is kept, but it cuts the tail of the top state of N = 16 odd
+    # the weight's e^-36 width lies past the top state's turning point, x_t = 4.777,
+    # so it is kept, but it cuts the tail of the top state of N = 16 odd: E = 63.59
+    # is off by 1.1e-3, above 1e-5 max(1, |E|).  The e^-40 width, 5.4229, is off by
+    # 1.5e-5 there, which that tolerance passes
     idx = QesIndex(16, 1)
     p = solve_constraint(idx, lam=0.5, eta=0.03)[0]
-    half_width = 5.4229
+    half_width = 5.25
     e_max = max(st.energy for st in spectrum(reduce(p), idx).states)
     assert math.sqrt(turning_point(p, e_max)) < half_width
     result = runner.invoke(
@@ -269,9 +271,9 @@ def test_verify_command_box_cutting_the_top_tail_exits_5(runner):
     assert result.exit_code == 5, result.output
     lines = result.stdout.splitlines()
     assert lines[0].startswith("16/17 matched")
-    assert lines[1].startswith("  box L=5.422900, ")
+    assert lines[1].startswith("  box L=5.250000, ")
     assert [line.endswith("MISMATCH") for line in lines[2:]] == [False] * 16 + [True]
-    assert result.stderr == "error: 1 of 17 levels miss the oracle's by more than 1e-05: m=16\n"
+    assert result.stderr == "error: 1 of 17 levels miss the oracle's by more than 1e-05 max(1, |E|): m=16\n"
 
 
 def test_verify_command_refuses_a_box_inside_the_turning_point(runner):
@@ -444,14 +446,28 @@ BAD_INPUTS = [
     (["spectrum", "--lambda", "1e200", "--eta", "1", "--N", "3"], 2),
     (["table", "--lambda", "1e160", "--eta", "1e-300", "--N", "1"], 2),
     (["export", "--lambda", "1e160", "--eta", "1e-300", "--N", "1", "--out", "x.json"], 2),
-    (["verify", "--lambda", "1e100", "--eta", "1", "--N", "1"], 5),  # E ~ 1e100: the levels match to 1e-14 relative
+    (["verify", "--lambda", "-1.5", "--eta", "0.003", "--N", "12", "--grid-points", "201"], 5),  # too few points
     (["spectrum", "--lambda", "-1e-200", "--eta", "1e-300", "--N", "0"], 2),  # its box's turning point
     (["constraint", "--omega2", "1e307", "--lambda", "1", "--N", "0"], 2),  # printed eta 2x off and a=inf
     (["constraint", "--omega2", "2.132123508032441e+167", "--lambda", "4.647042669279346e-57", "--N", "3"], 2),
     (["table", "--lambda", "1e16", "--eta", "1e-211", "--N", "3"], 4),  # A_3 overflows; it printed inf
     (["verify", "--lambda", "-2.43133043259748e+138", "--eta", "3.2070638689951074e+164", "--N", "0"], 2),
-    (["verify", "--lambda", "1.6649588098878914e+62", "--eta", "38103791393.39117", "--N", "0"], 5),  # E ~ 1e56
+    (["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd", "--half-width", "5.25"], 5),
 ]
+
+
+@pytest.mark.parametrize("args, max_err", [
+    (["--lambda", "1e10", "--eta", "1", "--N", "1"], "1.020e-04"),  # E ~ 2e9
+    (["--lambda", "1e100", "--eta", "1", "--N", "1"], "1.085e+86"),  # E ~ 2e99
+    (["--lambda", "1.6649588098878914e+62", "--eta", "38103791393.39117", "--N", "0"], "6.882e+42"),  # E ~ 2e56
+])
+def test_verify_matches_large_levels_relative_to_their_size(runner, args, max_err):
+    # each error is ~5e-14 of its level, far below 1e-5 max(1, |E|); an absolute 1e-5 exited 5
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    n = int(args[-1]) + 1
+    assert result.stdout.startswith(f"{n}/{n} matched, max err {max_err}\n")
 
 
 @pytest.mark.parametrize("args, code", BAD_INPUTS)

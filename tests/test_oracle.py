@@ -280,7 +280,8 @@ def _former_matches(s, levels: np.ndarray) -> list[Match]:
             raise VerificationError(f"exact level E={e:.8f} has no numerical counterpart")
         used.add(i)
         err = abs(levels[i] - e)
-        matches.append(Match(qes_energy=e, oracle_energy=float(levels[i]), abs_error=err, converged=err < MATCH_TOL))
+        converged = err < MATCH_TOL * max(1.0, abs(e))
+        matches.append(Match(qes_energy=e, oracle_energy=float(levels[i]), abs_error=err, converged=converged))
     return matches
 
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import mpmath
@@ -410,7 +412,8 @@ def test_weight_mismatch_rejected():
 
 
 def test_a_certified_norm_is_one_product_with_norm_and_inners_bits(monkeypatch):
-    # the norm and its rounding bound come from one [A, |A|] @ B product on the nodes
+    # the norm and its rounding bound come from the rows of one [A, |A|] @ B product per state,
+    # formed in the block's one pass on the nodes: _finite_norm_sq forms none of its own
     idx = QesIndex(20, 1)
     s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
     funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states[:12]]  # certain to one digit
@@ -418,7 +421,7 @@ def test_a_certified_norm_is_one_product_with_norm_and_inners_bits(monkeypatch):
     calls, products = [], wavefunction._products
     monkeypatch.setattr(wavefunction, "_products", lambda *args: calls.append(1) or products(*args))
     assert [wavefunction._finite_norm_sq(f) for f in funcs] == expect
-    assert len(calls) == len(funcs)
+    assert calls == []
 
 
 def test_normalized_eigenfunction_evaluates_normalized():
@@ -462,66 +465,207 @@ print(count_nodes(Eigenfunction(state=s.states[37], reduced=s.reduced)).count)
 
 
 def test_shared_quadrature_is_read_only_and_bounded():
-    xs, h = _quadrature(reduced(1.25, 0.1, QesIndex(3, 0)), 3, 0)
-    assert h == xs[-1] / (len(xs) - 1)
-    basis, _, s, q = _basis(xs, 1.25, 0.1, 4)
-    for arr in (xs, basis, s, q):
+    # the block holds its nodes, their basis and its states' rows, read-only, and no longer
+    # than the block lives: no cache keyed by the couplings holds them past their spectrum
+    idx = QesIndex(3, 0)
+    s = spectrum(reduced(1.25, 0.1, idx), idx)
+    f = Eigenfunction(state=s.states[1], reduced=s.reduced)
+    norm_and_inner(f, f)
+    block = s.states[0].block
+    assert all(st.block is block for st in s.states)
+    data = block.norms
+    assert data.h == data.xs[-1] / (len(data.xs) - 1)
+    _, basis, k, t, sq = block.grid
+    assert k is None and sq is None  # no row rescaled; s and q wait for psi''
+    assert data.xs[0] == 0.0 and basis[-1, 0] == 1.0  # W(0)
+    for arr in (data.xs, basis, t, *data.rows):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    assert xs[0] == 0.0 and basis[-1, 0] == 1.0  # W(0)
-    maxsize = _quadrature.cache_info().maxsize
-    assert isinstance(maxsize, int) and 1 <= maxsize <= 16
+    held = weakref.ref(block)
+    del s, f, block, data, basis, t
+    gc.collect()
+    assert held() is None
 
 
 def test_norms_do_not_depend_on_the_order_of_calls():
-    blocks = []
-    for lam, eta, n, eps in ((0.5, 0.03, 6, 0), (-0.8, 0.01, 9, 1)):
-        idx = QesIndex(n, eps)
-        s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
-        blocks.append([Eigenfunction(state=st, reduced=s.reduced) for st in s.states])
-    _quadrature.cache_clear()
-    in_order = [[norm_and_inner(f, f) for f in fs] for fs in blocks]
-    _quadrature.cache_clear()
-    backwards = [[norm_and_inner(f, f) for f in fs[::-1]][::-1] for fs in blocks]
-    _quadrature.cache_clear()
-    interleaved = [[], []]
-    for f, g in zip(*blocks):  # the first block has the fewer states
+    def blocks():  # each call builds its blocks afresh, so that each order forms their norm data
+        out = []
+        for lam, eta, n, eps in ((0.5, 0.03, 6, 0), (-0.8, 0.01, 9, 1)):
+            idx = QesIndex(n, eps)
+            s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+            out.append([Eigenfunction(state=st, reduced=s.reduced) for st in s.states])
+        return out
+
+    in_order = [[norm_and_inner(f, f) for f in fs] for fs in blocks()]
+    backwards = [[norm_and_inner(f, f) for f in fs[::-1]][::-1] for fs in blocks()]
+    interleaved, fresh = [[], []], blocks()
+    for f, g in zip(*fresh):  # the first block has the fewer states
         interleaved[0].append(norm_and_inner(f, f))
         interleaved[1].append(norm_and_inner(g, g))
-    interleaved[1] += [norm_and_inner(g, g) for g in blocks[1][len(blocks[0]):]]
+    interleaved[1] += [norm_and_inner(g, g) for g in fresh[1][len(fresh[0]):]]
     for got in (backwards, interleaved):
         assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in in_order]
 
 
-def test_equal_blocks_share_their_cache_entries():
-    # two spectra of one block carry equal, but distinct, ReducedParams
+def test_each_block_forms_its_norm_data_once(monkeypatch):
+    # one pass per block: one _products call and one _quadrature for all its states' norms,
+    # inner products and certified norms; two spectra of one block form theirs apart
     idx = QesIndex(4, 1)
     specs = [spectrum(reduce(solve_constraint(idx, lam=0.3, eta=0.05)[0]), idx) for _ in range(2)]
-    assert specs[0].reduced == specs[1].reduced and specs[0].reduced is not specs[1].reduced
-    _quadrature.cache_clear()
-    held = []  # every call's basis, kept alive so that none is freed and rebuilt at its address
+    calls = []
+    for name in ("_products", "_quadrature"):
+        inner = getattr(wavefunction, name)
+        monkeypatch.setattr(wavefunction, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    norms = []
     for s in specs:
-        for st in s.states:
-            f = Eigenfunction(state=st, reduced=s.reduced)
-            norm_and_inner(f, f)
-            held.append(wavefunction._BASIS[1])
-    info = _quadrature.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(specs[0].states) - 1)
-    assert isinstance(info.maxsize, int) and 1 <= info.maxsize <= 16
-    assert len(held) == 2 * len(specs[0].states) and all(b is held[0] for b in held)  # built once
+        funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states]
+        norms.append([norm_and_inner(f, f) for f in funcs])
+        for f in funcs:
+            for g in funcs:
+                norm_and_inner(f, g)
+            wavefunction._finite_norm_sq(f)
+            normalized(f)
+    assert calls == ["_quadrature", "_products"] * 2
+    assert norms[0] == norms[1] and specs[0].states[0].block is not specs[1].states[0].block
 
 
 def test_a_mutated_grid_misses_the_cached_basis():
-    # the grid's bytes key the basis, so an array changed in place gets its own
+    # the grid's bytes key the block's basis, so an array changed in place gets its own
     funcs, _ = eigenfunctions(0.8, 0.3, 6, 1)
+    block = funcs[2].state.block
     xs = np.linspace(-3.0, 3.0, 101)
     eval_psi(funcs[2], xs)
-    before = wavefunction._BASIS[1]
+    before = block.grid[1]
+    eval_psi(funcs[3], xs)
+    assert block.grid[1] is before  # the block's states share it
     xs *= 1.5
     psi = eval_psi(funcs[2], xs)
-    assert wavefunction._BASIS[1] is not before
-    wavefunction._BASIS[:] = None, None
+    assert block.grid[1] is not before
+    block.grid = None
     assert psi.tobytes() == eval_psi(funcs[2], xs.copy()).tobytes()
+
+
+def test_a_state_built_by_hand_is_a_block_of_one():
+    # a QesState from its five fields evaluates and takes its norm on the path of the
+    # spectrum's states, with the same bits, and holds no block of its own
+    idx = QesIndex(5, 1)
+    s = spectrum(reduce(solve_constraint(idx, lam=0.5, eta=0.03)[0]), idx)
+    xs = np.linspace(-4.0, 4.0, 81)
+    for st in s.states:
+        by_hand = QesState(energy=st.energy, coeffs=st.coeffs.copy(), parity=st.parity,
+                           expected_nodes=st.expected_nodes, label=st.label)
+        f, g = Eigenfunction(state=st, reduced=s.reduced), Eigenfunction(state=by_hand, reduced=s.reduced)
+        assert g.state.block is None
+        assert eval_psi(g, xs).tobytes() == eval_psi(f, xs).tobytes()
+        assert ode_residual(g, st.energy, xs).tobytes() == ode_residual(f, st.energy, xs).tobytes()
+        assert norm_and_inner(g, g) == norm_and_inner(f, f) == norm_and_inner(f, g)
+        assert wavefunction._finite_norm_sq(g) == wavefunction._finite_norm_sq(f)
+        assert normalized(g).norm_constant == normalized(f).norm_constant
+    # a state whose coefficients differ from its block's row is not read from the block
+    st = s.states[2]
+    other = replace(st, coeffs=-st.coeffs)
+    assert other.block is st.block
+    f, g = Eigenfunction(state=st, reduced=s.reduced), Eigenfunction(state=other, reduced=s.reduced)
+    assert eval_psi(g, xs).tobytes() == (-eval_psi(f, xs)).tobytes()
+    assert norm_and_inner(g, f) == -norm_and_inner(f, f)
+
+
+# a frozen copy of the per-state norm path that the block's one pass replaced: each state's
+# [A, |A|] @ B product on its block's nodes, with a basis built for it
+
+
+def _former_basis(x, a, b, rows):
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = x * x
+        w = np.exp(-0.5 * a * t - 0.25 * b * t * t)
+        w[np.isinf(t)] = 0.0
+        t[w == 0.0] = 0.0
+        basis, k, t_exp = np.empty((rows, x.size)), np.zeros(rows, dtype=int), math.frexp(t.max())[1]
+        basis[-1] = w
+        for j in range(rows - 2, -1, -1):
+            np.multiply(basis[j + 1], t, out=basis[j])
+        for j in range(rows - 2, -1, -1) if np.isinf(basis[0][w < math.inf]).any() else ():
+            below, k[j] = basis[j + 1], k[j + 1]
+            if np.multiply(below, t, out=basis[j]).max() == math.inf:
+                e = max(0, math.frexp(below.max(initial=0.0, where=below < math.inf))[1] + t_exp - 1023)
+                k[j] += e
+                np.multiply(np.ldexp(below, -e), t, out=basis[j])
+    return basis, (k if k.any() else None)
+
+
+def _former_rows(f, xs, basis, k):
+    c = f.state.coeffs[::-1]
+    rows = np.array([c, np.abs(c)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (rows if k is None else np.ldexp(rows, k)) @ basis
+        out = xs * out if f.state.parity else out
+        return out if f.norm_constant is None else f.norm_constant * out
+
+
+def _former_trapezoid(h, psi, phi):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = psi * phi
+        return float(2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1])))
+
+
+def _former_finite_norm_sq(f, h, psi, abs_psi):
+    """The certified norm^2 as _finite_norm_sq formed it, or its error message."""
+    r, st = f.reduced, f.state
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = _former_trapezoid(h, psi, psi)
+        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
+        bound = 2.0 * h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
+    if not math.isfinite(n2):
+        return f"the norm of state m={st.label} is not finite: psi^2 overflows a double (a^2/b = {r.a * r.a / r.b:.6g})"
+    if not bound < 0.1 * n2:
+        return (f"the norm of state m={st.label} is not certain to one digit: the rounding bound "
+                f"on norm^2 is {bound / n2:.3g} of it (a^2/b = {r.a * r.a / r.b:.6g})")
+    return n2
+
+
+def _certified_or_message(f):
+    try:
+        return wavefunction._finite_norm_sq(f)
+    except SolverError as exc:
+        return str(exc)
+
+
+def _bits(v):
+    return v if isinstance(v, str) else np.float64(v).tobytes()
+
+
+def test_block_norms_keep_the_per_state_bits():
+    # norms, certified norms (or their refusals), normalized's constant and inner products
+    # within a block equal the former per-state path's, bit for bit, also where the basis
+    # rescales its rows and where a product of all the rows at once would sum in another order
+    rescaled = 0
+    for n in [*range(13), 16, 20, 40, 100]:
+        for lam in (-1.0, -0.5, 0.5, 1.5):
+            for eta in (0.003, 0.03, 1.0):
+                for eps in (0, 1):
+                    idx = QesIndex(n, eps)
+                    s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
+                    xs, h = _quadrature(s.reduced, n, eps)
+                    basis, k = _former_basis(xs, s.reduced.a, s.reduced.b, n + 1)
+                    rescaled += k is not None
+                    funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states]
+                    rows = [_former_rows(f, xs, basis, k) for f in funcs]
+                    for m, (f, (psi, abs_psi)) in enumerate(zip(funcs, rows)):
+                        where = (n, lam, eta, eps, m)
+                        with np.errstate(all="ignore"):  # the raw norm of a state whose psi^2 overflows
+                            assert _bits(norm_and_inner(f, f)) == _bits(_former_trapezoid(h, psi, psi)), where
+                            for g, phi in ((funcs[m - 1], rows[m - 1][0]), (funcs[0], rows[0][0])):
+                                assert _bits(norm_and_inner(f, g)) == _bits(_former_trapezoid(h, psi, phi)), where
+                        want = _former_finite_norm_sq(f, h, psi, abs_psi)
+                        assert _bits(_certified_or_message(f)) == _bits(want), where
+                        if isinstance(want, str):
+                            continue
+                        g = normalized(f)
+                        assert _bits(g.norm_constant) == _bits(1.0 / math.sqrt(want)), where
+                        g_psi, g_abs = _former_rows(g, xs, basis, k)  # the constant scales the rows
+                        assert _bits(norm_and_inner(g, g)) == _bits(_former_trapezoid(h, g_psi, g_psi)), where
+                        assert _bits(_certified_or_message(g)) == _bits(_former_finite_norm_sq(g, h, g_psi, g_abs))
+    assert rescaled == 4  # N = 40 and 100 at lambda = -1, eta = 0.003, both parities
 
 
 def test_products_run_in_blocks_of_points(monkeypatch):
@@ -543,9 +687,12 @@ def test_products_run_in_blocks_of_points(monkeypatch):
 
 def test_cached_block_data_is_read_only():
     xs, _ = _quadrature(reduced(-0.6, 0.2, QesIndex(4, 1)), 4, 1)
-    basis, k, s, q = _basis(xs, -0.6, 0.2, 5)
+    basis, k, t = _basis(xs, -0.6, 0.2, 5)
     assert np.array_equal(basis[-2], basis[-1] * (xs * xs)) and k is None  # t W, no row rescaled
-    for arr in (xs, basis, s, q):
+    funcs, _ = eigenfunctions(-0.6, 0.2, 4, 1)
+    psi_second_derivative(funcs[0], xs)  # s and q join the block's grid
+    _, _, _, _, (s, q) = funcs[0].state.block.grid
+    for arr in (xs, basis, t, s, q):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -556,8 +703,7 @@ def test_norm_and_inner_overflows_without_warnings():
     # sum is inf - inf; numpy warned "overflow encountered" on the way
     idx = QesIndex(1, 0)
     s = spectrum(reduce(solve_constraint(idx, lam=-1.2, eta=0.003)[0]), idx)
-    f = Eigenfunction(state=s.states[0], reduced=s.reduced)
-    wavefunction._BASIS[:] = None, None  # the weight's overflow happens when the basis is built
+    f = Eigenfunction(state=s.states[0], reduced=s.reduced)  # its block builds its basis below
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(norm_and_inner(f, f))
