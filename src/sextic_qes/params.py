@@ -164,29 +164,46 @@ def turning_point(p: CouplingParams, energy: float) -> float:
     The closed form solves it in u = t 2^-k, 2^k near its coefficients' scale, so that no power
     of one leaves the doubles.  Its shift -b2/3 cancels where t << |b2|, so Newton's steps polish
     its root (missed at a double root or from a start where V2 overflows); where V2 rises on
-    t > 0 and E > 0 they also reach the one root from t = 0."""
+    t > 0 and E > 0 they also reach the one root from t = 0.  Where E > 0, or V2 has an outer
+    well (dV2/dt = 0 at some u > 0, found in u, where lam^2 cannot underflow), and no root where
+    V2 rises is found so far, the steps start again from Hong's bound on the cubic's positive
+    roots in u (J. Symb. Comput. 25, 1998), right of the largest, and go only where V2 rises: at
+    a double root, the outer well's bottom, rounding puts the closed form's root on either side
+    and would step past it."""
     b2, b1, b0 = 1.5 * p.lam / p.eta, 3.0 * p.omega_sq / p.eta, -3.0 * (2.0 * energy) / p.eta
     k = math.frexp(max(abs(b2), math.sqrt(abs(b1)), abs(b0) ** (1.0 / 3.0)))[1]
+    cs = (1.0, math.ldexp(b2, -k), math.ldexp(b1, -2 * k), math.ldexp(b0, -3 * k))  # u^3 + ..., each below 1
     try:
-        roots = _cubic_real_roots(math.ldexp(b2, -k), math.ldexp(b1, -2 * k), math.ldexp(b0, -3 * k))
+        roots = _cubic_real_roots(*cs[1:])
         t = math.ldexp(max(0.0, *roots), k)
     except (OverflowError, ValueError):  # float ** overflows; rounding puts sqrt's argument below 0
         t = math.nan
     t = _root_from(p, energy, t) if t else 0.0  # 0: no root t > 0, or the shift cancelled it
     t = _root_from(p, energy, 0.0) if energy > 0.0 and not t > 0.0 and well_bottom(p) == 0.0 else t
+    well = cs[1] * cs[1] > 3.0 * cs[2] and min(cs[1:3]) < 0.0  # dV2/du = 0 at some u > 0
+    if not (t > 0.0 and _rise(p, t) > 0.0) and (energy > 0.0 or well):
+        hi = max((min(2.0 * (-cs[i] / cs[j]) ** (1.0 / (i - j)) for j in range(i) if cs[j] > 0.0)
+                  for i in range(1, 4) if cs[i] < 0.0), default=2.0)
+        found = _root_from(p, energy, math.ldexp(hi, k), rising=True)
+        t = found if found > 0.0 else t
     if not (t > 0.0 or t == 0.0 and energy <= 0.0):
         raise _out_of_range(p, f"the turning point at E={energy:.6g} is not resolved in double precision")
     return t
 
 
-def _root_from(p: CouplingParams, energy: float, t: float) -> float:
-    """t after Newton's steps on V2 - 2E while they shrink; nan where they end off a root by 1e-8 of V2's terms."""
+def _rise(p: CouplingParams, t: float) -> float:
+    """dV2/dt at t = x^2."""
+    return p.omega_sq + t * (p.lam + t * p.eta)
+
+
+def _root_from(p: CouplingParams, energy: float, t: float, rising: bool = False) -> float:
+    """t after Newton's steps on V2 - 2E while they shrink, and if rising, while V2 rises where
+    they land; nan where they end off a root by 1e-8 of V2's terms."""
     step = math.inf
     for _ in range(60):
-        slope = p.omega_sq + t * (p.lam + t * p.eta)
         gap = t * (p.omega_sq + t * (0.5 * p.lam + t * p.eta / 3.0)) - 2.0 * energy
-        new = gap / slope if slope else 0.0
-        if not abs(new) < abs(step):
+        new = gap / slope if (slope := _rise(p, t)) else 0.0
+        if not abs(new) < abs(step) or rising and not _rise(p, t - new) > 0.0:
             break
         t, step = t - new, new
     size = t * (abs(p.omega_sq) + t * (0.5 * abs(p.lam) + t * p.eta / 3.0)) + 2.0 * abs(energy)
@@ -200,7 +217,7 @@ def psi_half_width(p: CouplingParams, energy: float) -> float:
     Advanced Mathematical Methods, 1978, ch. 10), to 1e-16 at L = x_t + (3 ln 1e16 / (2 sqrt(V2'(x_t))))^(2/3)
     with V2 on its tangent at x_t.  Past x_t V2'' = 2q + 4t q' > 0 (q = dV2/dt > 0, rising): V2 is above it."""
     t = turning_point(p, energy)
-    slope = 2.0 * math.sqrt(t) * (p.omega_sq + t * (p.lam + t * p.eta))  # V2'(x_t)
+    slope = 2.0 * math.sqrt(t) * _rise(p, t)  # V2'(x_t)
     if not slope > 0.0:
         raise _out_of_range(p, f"the turning point at E={energy:.6g} is not resolved in double precision")
     return math.sqrt(t) + (1.5 * math.log(1e16) / math.sqrt(slope)) ** (2.0 / 3.0)

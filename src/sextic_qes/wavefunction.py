@@ -5,7 +5,8 @@ the states of a block share one weighted power basis B[n] = t^n W(x), t = x^2: p
 x^eps (A @ B), and psi'' follows from one (3, N+1) @ B product by the product rule,
 never by finite differences; numeric differentiation appears only in tests.  The block
 (qes_core.QesBlock) holds what its states share: the basis of the last grid evaluated on,
-and from its first norm on, its quadrature nodes and every state's psi row and norm there.
+and from its first norm on, its quadrature nodes and every state's psi row and norm there:
+251 nodes where every state's trapezoid sum has converged on them, else 2001.
 """
 
 from __future__ import annotations
@@ -102,22 +103,23 @@ def _factors(rows: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _products(blk: QesBlock, x: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
-    """Per set of coefficient rows, its sums against blk's basis at the points of x: both rows' of
-    a pair, or L - 2sM + qP for the rows of P, M and L; per block of points of at most _BLOCK basis
-    doubles."""
-    flat, n, second = x.reshape(-1), len(blk.coeffs[0]), any(len(rows) == 3 for rows in sets)
-    outs = [np.empty((1 if len(rows) == 3 else len(rows), flat.size)) for rows in sets]
+    """Per set of coefficient rows, its sums against blk's basis at the points of x: every row's
+    of a stack of pairs (..., 2, N+1), or L - 2sM + qP for the rows (3, N+1) of P, M and L; per
+    block of points of at most _BLOCK basis doubles.  A stack runs one matrix product per pair."""
+    flat, n = x.reshape(-1), len(blk.coeffs[0])
+    pml = [rows.shape[-2] == 3 for rows in sets]
+    outs = [np.empty(((1,) if d2 else rows.shape[:-1]) + flat.shape) for rows, d2 in zip(sets, pml)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN says where psi overflows
         for lo in range(0, flat.size, step := max(1, _BLOCK // n)):
-            _, basis, k, _, sq = _grid(blk, flat[lo : lo + step], second)
-            for y, rows in zip(outs, sets):
+            _, basis, k, _, sq = _grid(blk, flat[lo : lo + step], any(pml))
+            for y, rows, d2 in zip(outs, sets, pml):
                 rows = rows if k is None else np.ldexp(rows, k)
-                if len(rows) == 3:
+                if d2:
                     p = rows @ basis
                     y[0, lo : lo + step] = p[2] - 2.0 * sq[0] * p[1] + sq[1] * p[0]
                 else:
-                    np.matmul(rows, basis, out=y[:, lo : lo + step])
-    return [y.reshape(len(y), *x.shape) for y in outs]
+                    np.matmul(rows, basis, out=y[..., lo : lo + step])
+    return [y.reshape(y.shape[:-1] + x.shape) for y in outs]
 
 
 def _evaluate(f: Eigenfunction, x: np.ndarray, *second: bool) -> list[np.ndarray]:
@@ -180,46 +182,62 @@ def count_nodes(f: Eigenfunction) -> NodeReport:
 # ---------------------------------------------------------------------------
 # quadrature
 
-_QUAD_NODES = 2001  # trapezoid nodes on the half line
+_QUAD_NODES = (251, 2001)  # trapezoid nodes on the half line: first, and where their sum has not converged
 
 
-def _quadrature(r: ReducedParams, n_cap: int, eps: int) -> tuple[np.ndarray, float]:
-    """(xs, h): the trapezoid nodes on [0, L] and their spacing, L as norm_and_inner says.  The
-    block's states share them, and their basis; xs is read-only."""
+def _box(r: ReducedParams, n_cap: int, eps: int) -> float:
+    """L, the half width of the norm's nodes, as norm_and_inner says."""
     rc = closure_reduced(r, QesIndex(n_cap, eps))  # M's rows as build_recurrence_matrix forms them, symmetrised
     off = [2.0 * math.sqrt(rc.b * (n_cap - n) * (2 * n + 1 + eps) * (2 * n + 2 + eps)) for n in range(n_cap)] + [0.0]
     two_e = max(rc.a * (4 * n + 2 * eps + 1) + off[n] + off[n - 1] for n in range(n_cap + 1))  # off[-1] pads
-    half = psi_half_width(rc.couplings(), 0.5 * two_e)  # Gershgorin's discs hold the top 2E
-    xs = np.linspace(0.0, half, _QUAD_NODES)
+    return psi_half_width(rc.couplings(), 0.5 * two_e)  # Gershgorin's discs hold the top 2E
+
+
+def _quadrature(half: float, nodes: int) -> tuple[np.ndarray, float]:
+    """(xs, h): that many trapezoid nodes on [0, half] and their spacing; xs is read-only."""
+    xs = np.linspace(0.0, half, nodes)
     xs.flags.writeable = False
-    return xs, half / (_QUAD_NODES - 1)  # the samples' own spacing
+    return xs, half / (nodes - 1)  # the samples' own spacing
 
 
 class _Norms(NamedTuple):
-    """A block's norm data: its quadrature nodes and spacing, per state the rows [psi, |A| @ B]
-    on them (x^eps applied to psi only), and each psi's trapezoid norm^2."""
+    """A block's norm data: its quadrature nodes and spacing, its states' rows [psi, |A| @ B]
+    on them, stacked (x^eps applied to psi only), and each psi's trapezoid norm^2."""
 
     xs: np.ndarray
     h: float
-    rows: list[np.ndarray]
+    rows: np.ndarray
     norm_sq: np.ndarray
 
 
 def _norms(blk: QesBlock) -> _Norms:
-    """blk's norm data, built at the first call in one pass over its states on its nodes.  Each
-    state keeps its own [A, |A|] @ B product: a product of all the rows at once sums in another
-    order from N = 16 (OpenBLAS), which would move the norms' bits."""
+    """blk's norm data, built at its first call by one pass over its states on 251 nodes over
+    its box (_QUAD_NODES).  The block keeps them where every state's sum over every second node
+    (spacing 2h, the same samples) is within 1e-14 norm^2 plus its rounding bound (_finite_norm_sq)
+    of the sum over all: the error of a sum falls like exp(-c/h), so the finer sum's is about the
+    square of that gap.  Elsewhere, also where a sum is not finite, the pass runs again on 2001
+    nodes, with the bits of one product and one sum per state: the stacked product runs one
+    matrix product per state (a product of all the rows at once sums in another order from
+    N = 16 on OpenBLAS), and the sum runs along each row."""
     if blk.norms is None:
-        xs, h = _quadrature(blk.reduced, len(blk.coeffs[0]) - 1, blk.parity)
-        c = np.array(blk.coeffs)[:, ::-1]  # descending n
-        rows = _products(blk, xs, list(np.stack([c, np.abs(c)], axis=1)))
-        norm_sq = np.empty(len(rows))
+        c, eps = np.array(blk.coeffs)[:, ::-1], blk.parity  # descending n
+        states, terms = c.shape
+        half = _box(blk.reduced, terms - 1, eps)
+        sets = np.concatenate([c, np.abs(c)], axis=1).reshape(states, 2, terms)  # per state [A, |A|]
         with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
-            for m, (psi, _) in enumerate(rows):
-                if blk.parity:
+            for nodes in _QUAD_NODES:
+                xs, h = _quadrature(half, nodes)
+                rows = _products(blk, xs, [sets])[0]
+                psi = rows[:, 0]
+                if eps:
                     np.multiply(psi, xs, out=psi)
-                norm_sq[m] = _trapezoid(h, psi, psi)
-                rows[m].flags.writeable = False
+                y = psi * psi
+                norm_sq = _trapezoid(h, y)
+                gap = np.abs(norm_sq - _trapezoid(2.0 * h, y[:, ::2])) - 1e-14 * norm_sq  # NaN: a sum is not finite
+                if (gap <= 0.0).all() or (
+                        gap <= _rounding(h, psi, xs * rows[:, 1] if eps else rows[:, 1], terms)).all():
+                    break
+        rows.flags.writeable = False
         blk.norms = _Norms(xs, h, rows, norm_sq)
     return blk.norms
 
@@ -229,23 +247,31 @@ def _scaled(f: Eigenfunction, psi: np.ndarray) -> np.ndarray:
     return psi if f.norm_constant is None else f.norm_constant * psi
 
 
-def _trapezoid(h: float, psi: np.ndarray, phi: np.ndarray) -> float:
-    """The trapezoid rule on the nodes [0, L] of spacing h for the even integrand psi phi, doubled."""
-    y = psi * phi
-    return 2.0 * h * (np.add.reduce(y) - 0.5 * (y[0] + y[-1]))
+def _trapezoid(h: float, y: np.ndarray) -> np.ndarray:
+    """The trapezoid rule on the nodes [0, L] of spacing h for the even integrand y, doubled,
+    along y's last axis."""
+    return 2.0 * h * (np.add.reduce(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+
+
+def _rounding(h: float, psi: np.ndarray, abs_psi: np.ndarray, terms: int) -> np.ndarray:
+    """The rounding bound on psi's trapezoid norm^2 along the last axis, as _finite_norm_sq
+    says, from abs_psi = |x|^eps |A| @ B and the number of terms of A."""
+    delta = terms * np.finfo(float).eps * np.abs(abs_psi)
+    return 2.0 * h * np.add.reduce(delta * (2.0 * np.abs(psi) + delta), axis=-1)
 
 
 def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
     """L2 inner product of f and g over the real line (norm^2 when f is g).
 
     The integrand is smooth, even and decays like exp(-b x^4/2), so the
-    trapezoid rule on fixed nodes over [0, L] converges exponentially once
+    trapezoid rule on equispaced nodes over [0, L] converges exponentially once
     the nodes cover it (Trefethen & Weideman, SIAM Rev. 56, 2014); doubling
     it covers the line.  L is psi_half_width at Gershgorin's bound on the top
-    energy of f's block (or g's, if its box is larger): it holds the top state.
-    The block's first norm forms every state's psi on its nodes and its norm^2
-    (_norms); a norm, or an inner product within the block, reads them.  A
-    state of another block is evaluated on the larger box's nodes.
+    energy of the block: it holds the top state.  The block's first norm forms
+    every state's psi on its nodes and its norm^2 (_norms: 251 nodes where
+    their sum has converged, else 2001); a norm, or an inner product within
+    the block, reads them.  States of two blocks are both evaluated on the
+    larger of their boxes, at the finer of their spacings.
     """
     rf, rg = f.reduced, g.reduced
     if abs(rf.a - rg.a) > 1e-12 * max(1.0, abs(rf.a)) or abs(rf.b - rg.b) > 1e-12 * rf.b:
@@ -255,16 +281,18 @@ def norm_and_inner(f: Eigenfunction, g: Eigenfunction) -> float:
         return 0.0  # odd integrand
     bf, jf = _block(f)
     bg, jg = (bf, jf) if g is f else _block(g)
-    nf = ng = _norms(bf)
+    n = _norms(bf)
     if bg is bf and jf == jg and f.norm_constant is None and g.norm_constant is None:
-        return float(nf.norm_sq[jf])
-    if bg is not bf:
-        ng = _norms(bg)
-    nodes = nf if nf.h >= ng.h else ng  # the larger box; f's where they are equal
+        return float(n.norm_sq[jf])
     with np.errstate(over="ignore", invalid="ignore"):  # where W or psi^2 overflows, inf or NaN says so
-        psi_f, psi_g = (_scaled(e, n.rows[j][0]) if n is nodes else _evaluate(e, nodes.xs, False)[0]
-                        for e, n, j in ((f, nf, jf), (g, ng, jg)))
-        return float(_trapezoid(nodes.h, psi_f, psi_g))
+        if bg is bf:
+            h, psi_f, psi_g = n.h, _scaled(f, n.rows[jf, 0]), _scaled(g, n.rows[jg, 0])
+        else:
+            ng = _norms(bg)
+            half = max(n.xs[-1], ng.xs[-1])
+            xs, h = _quadrature(half, math.ceil(half / min(n.h, ng.h)) + 1)
+            psi_f, psi_g = _evaluate(f, xs, False)[0], _evaluate(g, xs, False)[0]
+        return float(_trapezoid(h, psi_f * psi_g))
 
 
 def _finite_norm_sq(f: Eigenfunction) -> float:
@@ -285,9 +313,8 @@ def _finite_norm_sq(f: Eigenfunction) -> float:
     psi, abs_psi = n.rows[m]
     with np.errstate(over="ignore", invalid="ignore"):  # a norm or bound that is not finite refuses
         psi, abs_psi = _scaled(f, psi), _scaled(f, n.xs * abs_psi if st.parity else abs_psi)
-        n2 = float(n.norm_sq[m] if f.norm_constant is None else _trapezoid(n.h, psi, psi))
-        delta = len(st.coeffs) * np.finfo(float).eps * np.abs(abs_psi)
-        bound = 2.0 * n.h * float(np.add.reduce(delta * (2.0 * np.abs(psi) + delta)))
+        n2 = float(n.norm_sq[m] if f.norm_constant is None else _trapezoid(n.h, psi * psi))
+        bound = float(_rounding(n.h, psi, abs_psi, len(st.coeffs)))
     if not math.isfinite(n2):
         raise SolverError(
             f"the norm of state m={st.label} is not finite: psi^2 overflows a double "

@@ -447,11 +447,12 @@ BAD_INPUTS = [
     (["table", "--lambda", "1e160", "--eta", "1e-300", "--N", "1"], 2),
     (["export", "--lambda", "1e160", "--eta", "1e-300", "--N", "1", "--out", "x.json"], 2),
     (["verify", "--lambda", "-1.5", "--eta", "0.003", "--N", "12", "--grid-points", "201"], 5),  # too few points
-    (["spectrum", "--lambda", "-1e-200", "--eta", "1e-300", "--N", "0"], 2),  # its box's turning point
+    (["spectrum", "--lambda", "-1e-200", "--eta", "1e-300", "--N", "0"], 4),  # psi^2 overflows (a^2/b = 3.2e49)
     (["constraint", "--omega2", "1e307", "--lambda", "1", "--N", "0"], 2),  # printed eta 2x off and a=inf
     (["constraint", "--omega2", "2.132123508032441e+167", "--lambda", "4.647042669279346e-57", "--N", "3"], 2),
     (["table", "--lambda", "1e16", "--eta", "1e-211", "--N", "3"], 4),  # A_3 overflows; it printed inf
-    (["verify", "--lambda", "-2.43133043259748e+138", "--eta", "3.2070638689951074e+164", "--N", "0"], 2),
+    # E lies at the outer well's bottom to rounding (a double turning point): the oracle finds no level
+    (["verify", "--lambda", "-2.43133043259748e+138", "--eta", "3.2070638689951074e+164", "--N", "0"], 5),
     (["verify", "--lambda", "0.5", "--eta", "0.03", "--N", "16", "--parity", "odd", "--half-width", "5.25"], 5),
 ]
 

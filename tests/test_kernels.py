@@ -43,6 +43,7 @@ from sextic_qes.params import (
     turning_point,
     well_bottom,
 )
+from sextic_qes import wavefunction
 from sextic_qes.qes_core import build_recurrence_matrix, closure_reduced
 from sextic_qes.wavefunction import (
     count_nodes,
@@ -436,7 +437,7 @@ def test_node_counts_and_norms_keep_their_per_state_bits():
     assert not_finite <= 30, not_finite
 
 
-def test_inner_products_of_different_degree_keep_their_bits():
+def test_inner_products_of_different_degree_keep_their_bits(monkeypatch):
     # states of two blocks share the larger block's box: the first call's grid must not be reused
     for lam, eta in ((0.5, 0.03), (-0.6, 0.05)):
         for eps in (0, 1):
@@ -446,6 +447,49 @@ def test_inner_products_of_different_degree_keep_their_bits():
             for f, box_f in fs[::2]:
                 for g, box_g in fs[1::3]:
                     assert _meets_reference(norm_and_inner(f, g), f, g, max(box_f, box_g))
+    # one weight for every N at lambda = -1, eta = 0.005623: N = 1 falls back to 2,001 nodes, and
+    # N = 0 and 3 keep 251 over larger and smaller boxes; both states are evaluated on the larger
+    # box at the finer spacing
+    specs = [spectrum(reduce(solve_constraint(QesIndex(n, 0), lam=-1.0, eta=0.005623)[0]), QesIndex(n, 0))
+             for n in (0, 1, 3)]
+    fs = [[(Eigenfunction(state=st, reduced=s.reduced), _box(s)) for st in s.states] for s in specs]
+    for f, _ in fs[0] + fs[1] + fs[2]:
+        norm_and_inner(f, f)
+    assert [len(s.states[0].block.norms.xs) for s in specs] == [251, 2001, 251]
+    grids, evaluate = [], wavefunction._evaluate
+    monkeypatch.setattr(wavefunction, "_evaluate", lambda e, x, *d: grids.append(x) or evaluate(e, x, *d))
+    for f, box_f in fs[1]:
+        for g, box_g in fs[0] + fs[2]:
+            for got in (norm_and_inner(f, g), norm_and_inner(g, f)):
+                assert _meets_reference(got, f, g, max(box_f, box_g))
+            nf, ng = f.state.block.norms, g.state.block.norms
+            assert len(grids) == 4 and all(
+                x[-1] == max(nf.xs[-1], ng.xs[-1]) and x[1] <= min(nf.h, ng.h) for x in grids)
+            grids.clear()
+
+
+@given(st.floats(-1.0, 1.5), st.floats(-2.5, 0.0), st.integers(0, 12), st.integers(0, 1),
+       st.sampled_from(["omega2", "eta"]))
+@settings(max_examples=60)
+@example(-1.0, math.log10(0.005623), 1, 0, "omega2")  # the block falls back to 2,001 nodes
+@example(1.5, 0.0, 12, 1, "omega2")  # it keeps 251
+def test_certified_norms_over_the_certify_box_meet_the_reference(lam, log_eta, n, eps, solve):
+    # certify-lowN's box: every norm the CLI prints, its rounding bound below norm^2/10, meets the
+    # long-double reference, whether its block keeps 251 nodes or falls back to 2,001
+    idx = QesIndex(n, eps)
+    try:
+        p = solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0]
+        if solve == "eta":
+            p = solve_constraint(idx, omega_sq=p.omega_sq, lam=lam)[0]
+        s = spectrum(reduce(p), idx)
+    except QesError:
+        return  # no spectrum at these couplings
+    half = _box(s)
+    for st in s.states:
+        f = Eigenfunction(state=st, reduced=s.reduced)
+        norm_sq = _outcome(wavefunction._finite_norm_sq, f)
+        if not isinstance(norm_sq, str):
+            assert _meets_reference(norm_sq, f, f, half), st.label
 
 
 def _mp_turning_point(p, energy):

@@ -17,7 +17,7 @@ from sextic_qes import (
     reduce,
     solve_constraint,
 )
-from sextic_qes.params import _cubic_real_roots, check_constraint, turning_point
+from sextic_qes.params import _cubic_real_roots, check_constraint, psi_half_width, turning_point
 
 
 def test_reduce_paper_values():
@@ -292,3 +292,40 @@ def test_turning_point_where_the_closed_form_loses_a_root_far_below_b2(omega_sq,
         w2, lam_mp, eta_mp, e2 = (mpmath.mpf(v) for v in (omega_sq, lam, eta, 2.0 * energy))
         ref = float(mpmath.findroot(lambda s: s * (w2 + s * (lam_mp / 2 + s * eta_mp / 3)) - e2, e2 / w2))
     assert abs(t - ref) <= 2 * math.ulp(ref)
+
+
+@pytest.mark.parametrize(
+    "omega_sq, lam, eta, energy",
+    [
+        (1.875e-26, -1e-75, 1e-125, -6.846531968814576e-14),
+        (1.875e-101, -1e-200, 1e-300, -2.1650635094610966e-51),
+        (0.18750000000000003, -1e-100, 1e-200, -0.21650635094610968),
+    ],
+)
+def test_turning_point_at_the_outer_wells_bottom(omega_sq, lam, eta, energy):
+    # the boxes of verify at lambda = -1e-75, eta = 1e-125 and of spectrum at lambda = -1e-200,
+    # eta = 1e-300 and at lambda = -1e-100, eta = 1e-200, N = 0: E lies at the outer well's bottom
+    # to rounding.  The closed form lost the double root of the first two (60 digits put E just
+    # below the bottom; lambda^2 underflows in well_bottom for the second), and put the third's
+    # left of the bottom, where V2 falls.  Steps from the right that stop where V2 still rises
+    # end near the bottom, to the square root of V2's rounding, as at any double root
+    p = CouplingParams(omega_sq, lam, eta)
+    t = turning_point(p, energy)
+    with mpmath.workdps(60):
+        w2, lam_mp, eta_mp = (mpmath.mpf(v) for v in (omega_sq, lam, eta))
+        bottom = float((-lam_mp + mpmath.sqrt(lam_mp**2 - 4 * eta_mp * w2)) / (2 * eta_mp))
+    assert abs(t - bottom) <= 4.0 * math.sqrt(np.finfo(float).eps) * bottom
+    assert omega_sq + t * (lam + t * eta) > 0.0  # V2 rises at t, so psi's box is finite
+    assert math.sqrt(t) <= psi_half_width(p, energy) < math.inf  # the tail is below x_t's ulp
+
+
+def test_turning_point_where_the_shift_cancels_beside_a_shallow_well():
+    # verify at lambda = 1e-200, eta = 1e-300, N = 0: omega2 < 0 makes a well at t ~ 1.7e50 that
+    # lambda^2 hides from well_bottom, so the steps from t = 0 fell; E > 0, and the root is 1e-25
+    # of the closed form's shift
+    p, energy = CouplingParams(-1.7320508075688775e-150, 1e-200, 1e-300), 2.1650635094610966e-51
+    t = turning_point(p, energy)
+    with mpmath.workdps(60):
+        cubic = [mpmath.mpf(p.eta) / 3, mpmath.mpf(p.lam) / 2, mpmath.mpf(p.omega_sq), -2 * mpmath.mpf(energy)]
+        ref = float(max(r.real for r in mpmath.polyroots(cubic, maxsteps=2000, extraprec=2000)))
+    assert abs(t - ref) <= 4 * math.ulp(ref)

@@ -33,7 +33,7 @@ from sextic_qes import (
 from sextic_qes.qes_core import QesState, closure_reduced
 from sextic_qes.params import potential_v2
 from sextic_qes import wavefunction
-from sextic_qes.wavefunction import _basis, _quadrature, psi_second_derivative
+from sextic_qes.wavefunction import _QUAD_NODES, _basis, _box, _quadrature, psi_second_derivative
 
 from conftest import random_ab, rounding_bound, run_python
 
@@ -290,7 +290,7 @@ def test_cutoff_bound(lam, log_eta, n, eps):
     # of this box at N = 0 to 100).  The envelope rule's box ended before W underflowed
     idx = QesIndex(n, eps)
     r = reduce(solve_constraint(idx, lam=lam, eta=10.0**log_eta)[0])
-    xs, _ = _quadrature(r, n, eps)
+    xs, _ = _quadrature(_box(r, n, eps), _QUAD_NODES[0])
     with np.errstate(over="ignore"):  # W is inf near the wells once a^2 > 2836 b, and psi^2 is anyway
         assert np.mean(_basis(xs, r.a, r.b, 1)[0][0] == 0.0) <= 0.1  # W
 
@@ -346,7 +346,7 @@ def test_trapezoid_norm_matches_adaptive_quadrature(a, b, ns, n_certified):
     for n in ns:
         for eps in (0, 1):
             funcs, s = eigenfunctions(a, b, n, eps)
-            cut = _quadrature(s.reduced, n, eps)[0][-1]  # the norm's box
+            cut = _box(s.reduced, n, eps)  # the norm's box
             for f in funcs:
                 if _ode_certificate(f, np.linspace(0.0, cut, 1001)) > 1e-9:
                     continue
@@ -508,12 +508,13 @@ def test_norms_do_not_depend_on_the_order_of_calls():
 
 
 def test_each_block_forms_its_norm_data_once(monkeypatch):
-    # one pass per block: one _products call and one _quadrature for all its states' norms,
-    # inner products and certified norms; two spectra of one block form theirs apart
-    idx = QesIndex(4, 1)
-    specs = [spectrum(reduce(solve_constraint(idx, lam=0.3, eta=0.05)[0]), idx) for _ in range(2)]
+    # one pass per block: one box, and one _products call on 251 nodes, or two where the block
+    # falls back to 2,001, for all its states' norms, inner products and certified norms; two
+    # spectra of one block form theirs apart
+    blocks = [(0.3, 0.05, QesIndex(4, 1))] * 2 + [(-1.0, 0.005623, QesIndex(1, 0))]  # the last falls back
+    specs = [spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx) for lam, eta, idx in blocks]
     calls = []
-    for name in ("_products", "_quadrature"):
+    for name in ("_products", "_box"):
         inner = getattr(wavefunction, name)
         monkeypatch.setattr(wavefunction, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
     norms = []
@@ -525,7 +526,8 @@ def test_each_block_forms_its_norm_data_once(monkeypatch):
                 norm_and_inner(f, g)
             wavefunction._finite_norm_sq(f)
             normalized(f)
-    assert calls == ["_quadrature", "_products"] * 2
+    assert calls == ["_box", "_products"] * 2 + ["_box", "_products", "_products"]
+    assert [len(s.states[0].block.norms.xs) for s in specs] == [251, 251, 2001]
     assert norms[0] == norms[1] and specs[0].states[0].block is not specs[1].states[0].block
 
 
@@ -634,38 +636,83 @@ def _bits(v):
     return v if isinstance(v, str) else np.float64(v).tobytes()
 
 
+def _former_bound(h, psi, abs_psi, phi, abs_phi, terms):
+    """The rounding bound on the trapezoid sum of psi phi, from the rows |x|^eps |A| @ B: 2h sum
+    (d_psi |phi| + d_phi |psi| + d_psi d_phi), d = terms eps |x|^eps |A| @ B (_finite_norm_sq's, at phi = psi)."""
+    d_psi, d_phi = (terms * np.finfo(float).eps * np.abs(v) for v in (abs_psi, abs_phi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * h * float(np.add.reduce(d_psi * np.abs(phi) + d_phi * np.abs(psi) + d_psi * d_phi))
+
+
 def test_block_norms_keep_the_per_state_bits():
-    # norms, certified norms (or their refusals), normalized's constant and inner products
-    # within a block equal the former per-state path's, bit for bit, also where the basis
-    # rescales its rows and where a product of all the rows at once would sum in another order
-    rescaled = 0
+    # norms, certified norms (or their refusals), normalized's constant and inner products within
+    # a block that falls back to 2,001 nodes equal the former per-state path's, bit for bit, also
+    # where the basis rescales its rows and where a product of all the rows at once would sum in
+    # another order.  On a block that keeps 251 nodes each is within 1e-13 int |psi phi| plus both
+    # paths' rounding bounds of the former, and a refusal is of the same kind
+    rescaled, grids = 0, []
     for n in [*range(13), 16, 20, 40, 100]:
         for lam in (-1.0, -0.5, 0.5, 1.5):
             for eta in (0.003, 0.03, 1.0):
                 for eps in (0, 1):
                     idx = QesIndex(n, eps)
                     s = spectrum(reduce(solve_constraint(idx, lam=lam, eta=eta)[0]), idx)
-                    xs, h = _quadrature(s.reduced, n, eps)
+                    xs, h = _quadrature(_box(s.reduced, n, eps), _QUAD_NODES[-1])
                     basis, k = _former_basis(xs, s.reduced.a, s.reduced.b, n + 1)
                     rescaled += k is not None
                     funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states]
                     rows = [_former_rows(f, xs, basis, k) for f in funcs]
+                    with np.errstate(all="ignore"):  # the raw norm of a state whose psi^2 overflows
+                        norm_and_inner(funcs[0], funcs[0])
+                        data = s.states[0].block.norms
+                        ours = [(psi, data.xs * abs_psi if eps else abs_psi) for psi, abs_psi in data.rows]
+                    grids.append(len(data.xs))
+
+                    def agree(got, want, i, j, scale=1.0):
+                        if len(data.xs) == _QUAD_NODES[-1]:
+                            return _bits(got) == _bits(want)
+                        if isinstance(got, str) or isinstance(want, str):
+                            return str(got).split(":")[0] == str(want).split(":")[0]  # the kind, not the ratio
+                        size = 1e-13 * _former_trapezoid(h, np.abs(rows[i][0]), np.abs(rows[j][0]))
+                        bounds = (_former_bound(h, *rows[i], *rows[j], n + 1)
+                                  + _former_bound(data.h, *ours[i], *ours[j], n + 1))
+                        return abs(got - want) <= scale * scale * (size + bounds)
+
                     for m, (f, (psi, abs_psi)) in enumerate(zip(funcs, rows)):
                         where = (n, lam, eta, eps, m)
-                        with np.errstate(all="ignore"):  # the raw norm of a state whose psi^2 overflows
-                            assert _bits(norm_and_inner(f, f)) == _bits(_former_trapezoid(h, psi, psi)), where
-                            for g, phi in ((funcs[m - 1], rows[m - 1][0]), (funcs[0], rows[0][0])):
-                                assert _bits(norm_and_inner(f, g)) == _bits(_former_trapezoid(h, psi, phi)), where
-                        want = _former_finite_norm_sq(f, h, psi, abs_psi)
-                        assert _bits(_certified_or_message(f)) == _bits(want), where
-                        if isinstance(want, str):
+                        with np.errstate(all="ignore"):
+                            assert agree(norm_and_inner(f, f), _former_trapezoid(h, psi, psi), m, m), where
+                            for j in (m - 1, 0):
+                                want = _former_trapezoid(h, psi, rows[j][0])
+                                assert agree(norm_and_inner(f, funcs[j]), want, m, j), where
+                        want, got = _former_finite_norm_sq(f, h, psi, abs_psi), _certified_or_message(f)
+                        assert agree(got, want, m, m), where
+                        if isinstance(got, str):
                             continue
                         g = normalized(f)
-                        assert _bits(g.norm_constant) == _bits(1.0 / math.sqrt(want)), where
+                        assert _bits(g.norm_constant) == _bits(1.0 / math.sqrt(got)), where
                         g_psi, g_abs = _former_rows(g, xs, basis, k)  # the constant scales the rows
-                        assert _bits(norm_and_inner(g, g)) == _bits(_former_trapezoid(h, g_psi, g_psi)), where
-                        assert _bits(_certified_or_message(g)) == _bits(_former_finite_norm_sq(g, h, g_psi, g_abs))
+                        c = g.norm_constant
+                        assert agree(norm_and_inner(g, g), _former_trapezoid(h, g_psi, g_psi), m, m, c), where
+                        want = _former_finite_norm_sq(g, h, g_psi, g_abs)
+                        assert agree(_certified_or_message(g), want, m, m, c), where
     assert rescaled == 4  # N = 40 and 100 at lambda = -1, eta = 0.003, both parities
+    assert 0 < grids.count(_QUAD_NODES[-1]) < grids.count(_QUAD_NODES[0]), grids  # both paths ran
+
+
+def test_a_block_whose_sums_have_not_converged_keeps_the_former_bits():
+    # lambda = -1, eta = 0.005623, N = 1, even: a^2/b = 770, and a sum on 251 nodes is not within
+    # 1e-14 norm^2 of its every-second-node sum, so the block takes 2,001 nodes and the former bits
+    idx = QesIndex(1, 0)
+    s = spectrum(reduce(solve_constraint(idx, lam=-1.0, eta=0.005623)[0]), idx)
+    xs, h = _quadrature(_box(s.reduced, 1, 0), 2001)
+    basis, k = _former_basis(xs, s.reduced.a, s.reduced.b, 2)
+    funcs = [Eigenfunction(state=st, reduced=s.reduced) for st in s.states]
+    rows = [_former_rows(f, xs, basis, k) for f in funcs]
+    assert [norm_and_inner(f, f) for f in funcs] == [_former_trapezoid(h, psi, psi) for psi, _ in rows]
+    assert norm_and_inner(funcs[1], funcs[0]) == _former_trapezoid(h, rows[1][0], rows[0][0])
+    assert [_certified_or_message(f) for f in funcs] == [_former_finite_norm_sq(f, h, *r) for f, r in zip(funcs, rows)]
+    assert s.states[0].block.norms.xs.tobytes() == xs.tobytes()
 
 
 def test_products_run_in_blocks_of_points(monkeypatch):
@@ -686,7 +733,7 @@ def test_products_run_in_blocks_of_points(monkeypatch):
 
 
 def test_cached_block_data_is_read_only():
-    xs, _ = _quadrature(reduced(-0.6, 0.2, QesIndex(4, 1)), 4, 1)
+    xs, _ = _quadrature(_box(reduced(-0.6, 0.2, QesIndex(4, 1)), 4, 1), _QUAD_NODES[0])
     basis, k, t = _basis(xs, -0.6, 0.2, 5)
     assert np.array_equal(basis[-2], basis[-1] * (xs * xs)) and k is None  # t W, no row rescaled
     funcs, _ = eigenfunctions(-0.6, 0.2, 4, 1)
